@@ -19,6 +19,7 @@ Results go to ``BENCH_fogperf.json`` at the repo root, gated by
 ``check_regression.py`` (metric ``pipelined_speedup_16``).
 """
 
+import base64
 import json
 import os
 import threading
@@ -52,6 +53,21 @@ SPEEDUP_BAR = 3.0
 BYTES_RATIO_BUDGET = 0.8
 
 
+def _base64_line(value):
+    """The retired base64-in-JSON peer line for a frame: every array as a
+    ``{dtype, shape, data}`` object inside one NDJSON line."""
+
+    def encode(v):
+        if isinstance(v, np.ndarray):
+            data = base64.b64encode(np.ascontiguousarray(v).tobytes()).decode("ascii")
+            return {"dtype": str(v.dtype), "shape": list(v.shape), "data": data}
+        if isinstance(v, dict):
+            return {k: encode(x) for k, x in v.items()}
+        return v
+
+    return encode_line(encode(value))
+
+
 def _matmul_request(req_id, a, b):
     return Request(
         id=req_id, workload="posit_matmul", tenant="bench", bits=8, es=2,
@@ -81,7 +97,7 @@ def _drive_inflight(client, requests, inflight):
             if i is None:
                 return
             responses[i] = client.call(
-                interest_frame(requests[i], budget_ms=120_000.0, binary=True),
+                interest_frame(requests[i], budget_ms=120_000.0),
                 timeout_s=120.0,
             )
 
@@ -119,7 +135,7 @@ def measurement():
         # One throwaway exec so the serial arm does not pay the node's
         # one-time posit table compilation.
         resp = client.call(
-            interest_frame(warm, budget_ms=120_000.0, binary=True), timeout_s=120.0
+            interest_frame(warm, budget_ms=120_000.0), timeout_s=120.0
         )
         assert resp["ok"]
         for arm, inflight in enumerate(INFLIGHT_LEVELS):
@@ -155,8 +171,8 @@ def measurement():
     wire_req = _matmul_request(
         "wire", rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
     )
-    binary_bytes = len(pack_frame(interest_frame(wire_req, budget_ms=1e3, binary=True)))
-    base64_bytes = len(encode_line(interest_frame(wire_req, budget_ms=1e3)))
+    binary_bytes = len(pack_frame(interest_frame(wire_req, budget_ms=1e3)))
+    base64_bytes = len(_base64_line(interest_frame(wire_req, budget_ms=1e3)))
     m["interest_bytes_binary"] = binary_bytes
     m["interest_bytes_base64"] = base64_bytes
     m["bytes_ratio"] = binary_bytes / base64_bytes
@@ -260,7 +276,7 @@ def test_fog_dataplane(benchmark, measurement, report):
         rng = np.random.default_rng(17)
         req = _matmul_request("hot", rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
         client.call({"op": "advertise", "batch_key": list(req.batch_key())})
-        frame = interest_frame(req, budget_ms=60_000.0, binary=True)
+        frame = interest_frame(req, budget_ms=60_000.0)
         client.call(frame, timeout_s=60.0)  # warm the store
         benchmark(lambda: client.call(frame, timeout_s=60.0))
     finally:

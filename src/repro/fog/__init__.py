@@ -1,12 +1,25 @@
-"""repro.fog — named-function fog topology with content-addressed caching.
+"""repro.fog — named-function fog routing with content-addressed caching.
 
 The paper's deployment shape (PAPER.md: many small posit-arithmetic nodes
-near the data) as an in-process simulator, following the NFN pattern:
-computations are *named* — workload, parameters, and the sha256 content
-digests of their operands (:mod:`repro.fog.names`) — and the fog routes
-each interest to a node that owns the kernel, caches the result under its
-name (:mod:`repro.fog.store`), and re-routes around node loss
-(:mod:`repro.fog.topology`).
+near the data), following the NFN pattern: computations are *named* —
+workload, parameters, and the sha256 content digests of their operands
+(:mod:`repro.fog.names`) — and the fog routes each interest to a node that
+owns the kernel, caches the result under its name (:mod:`repro.fog.store`),
+and re-routes around node loss.
+
+One :class:`~repro.fog.topology.Router` holds the routing policy —
+rendezvous ownership, singleflight, deadline budget, retries and hedging,
+reverse-path carry, local degradation, counters — and reaches nodes
+through a transport (the mechanism).  The two deployments are the two
+ways to build it:
+
+* :class:`FogTopology` — in-process :class:`FogNode`\\ s
+  (:class:`~repro.fog.topology.LocalTransport`);
+* :class:`FogFabric` — supervised node processes behind sockets
+  (:class:`~repro.fog.fabric.PeerTransport`: heartbeats, circuit
+  breakers, wire digest checks, warm-restart journal).
+
+On the node side both answer through :meth:`FogNode.answer`.
 
 Quickstart::
 
@@ -27,15 +40,21 @@ Quickstart::
 Guarantees the tests pin:
 
 * **Routing identity** — a result is byte-identical whether computed
-  locally, forwarded across nodes, or replayed from any content store
-  (``tests/test_fog_identity.py``, golden-vector backed).
+  locally, forwarded across nodes or processes, or replayed from any
+  content store (``tests/test_fog_identity.py``,
+  ``tests/test_fog_fabric.py``, golden-vector backed).
+* **One policy** — the same request script through both transports gives
+  the same bytes and the same hit/collapse/execution/carry counts
+  (``tests/test_fog_router.py``).
 * **Churn safety** — under :class:`~repro.engine.faults.ChaosPlan` node
-  churn, every completed computation is still bit-exact; what the fog
-  cannot serve it rejects with :class:`FogUnavailable`, never answers
-  wrongly (``tests/test_fog_churn.py``, ``benchmarks/test_fog_churn.py``).
+  churn or SIGKILLed node processes, every completed computation is still
+  bit-exact; what the fog cannot serve it rejects with
+  :class:`FogUnavailable`, never answers wrongly (``tests/test_fog_churn.py``,
+  ``tests/test_fog_fabric_chaos.py``).
 
 The serve front end dispatches into a fog with
-``ServeConfig(fog_nodes=N)`` (see :class:`repro.fog.executor.FogExecutor`).
+``ServeConfig(fog_nodes=N)`` (plus ``fog_fabric=True`` for node processes;
+see :class:`repro.fog.executor.FogExecutor`).
 """
 
 from .executor import FogExecutor
@@ -52,7 +71,7 @@ from .store import (
     make_admission,
 )
 from .supervisor import FabricSupervisor
-from .topology import ChurnDriver, FogTopology, FogUnavailable
+from .topology import ChurnDriver, FogTopology, FogUnavailable, Router
 
 __all__ = [
     "ComputationName",
@@ -64,6 +83,7 @@ __all__ = [
     "make_admission",
     "FogNode",
     "NodeDown",
+    "Router",
     "FogTopology",
     "FogUnavailable",
     "ChurnDriver",

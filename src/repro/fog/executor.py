@@ -21,24 +21,25 @@ from typing import Dict, List, Optional, Tuple
 
 from ..engine.observe import METRICS, Metrics
 from ..serve.protocol import ProtocolError, Request
-from .topology import FogTopology, FogUnavailable
+from .topology import FogTopology, FogUnavailable, Router
 
 __all__ = ["FogExecutor"]
 
 
 class FogExecutor:
-    """Serve-executor adapter over a :class:`FogTopology`.
+    """Serve-executor adapter over a fog :class:`~repro.fog.topology.Router`.
 
     Parameters:
-        topology: An existing fog to serve through, or ``None`` to build
-            one from the remaining arguments.
+        topology: An existing fog to serve through (a :class:`FogTopology`
+            or :class:`~repro.fog.fabric.FogFabric`), or ``None`` to build
+            a :class:`FogTopology` from the remaining arguments.
         nodes / replicas / executor_opts / store_policy / store_reverify:
             Forwarded to :class:`FogTopology` when ``topology`` is ``None``.
     """
 
     def __init__(
         self,
-        topology: Optional[FogTopology] = None,
+        topology: Optional[Router] = None,
         nodes: int = 4,
         replicas: int = 2,
         metrics: Optional[Metrics] = None,

@@ -1,104 +1,237 @@
 """repro.fog.fabric — the fog as real processes behind real sockets.
 
-:class:`FogFabric` is the cross-process promotion of
-:class:`~repro.fog.topology.FogTopology`: the same rendezvous-owned
-capabilities, named computations and content stores, but every node is a
-supervised OS process (:mod:`repro.fog.supervisor`) speaking the NDJSON
-frame protocol over localhost sockets (:mod:`repro.fog.peer`).  The
-failure modes a method-call simulator cannot exercise — ``kill -9``, a
-SIGSTOP-stalled peer, a half-open socket, a slow network — are the point:
+:class:`FogFabric` is the :class:`~repro.fog.topology.Router` — the same
+rendezvous ownership, walk, singleflight and deadline budget as the
+in-process :class:`~repro.fog.topology.FogTopology` — over a
+:class:`PeerTransport`: every node is a supervised OS process
+(:mod:`repro.fog.supervisor`) speaking binary frames over localhost
+sockets (:mod:`repro.fog.peer`).  The failure modes a method-call
+simulator cannot exercise — ``kill -9``, a SIGSTOP-stalled peer, a
+half-open socket, a slow network — are the point:
 
 * **Liveness view** — routing consults the supervisor's heartbeat verdict
-  per peer, so the rendezvous walk skips nodes the failure detector has
-  marked suspect, not just nodes a test politely flagged dead.
+  per peer, so the walk skips nodes the failure detector has marked
+  suspect, not just nodes a test politely flagged dead.
 * **Circuit breakers** — each peer sits behind a closed → open →
   half-open :class:`~repro.fog.peer.CircuitBreaker`; once a peer has
   failed ``breaker_failures`` times in a row, interests fail fast past it
   instead of queueing on a corpse until their deadlines drain.
+* **Wire integrity** — every answer's bytes must hash to the digest its
+  producer pinned, or the answer is refused like a failed peer.
 * **Deadline budget across hops** — every interest carries its remaining
-  milliseconds; each retry and forward decrements it, retries use
-  deterministic jittered exponential backoff clamped to what is left, and
-  nothing ever retries past the budget (a peer receiving a spent budget
-  refuses without executing).
-* **Hedged interests** — with ``hedge_ms`` set, a primary that has not
-  answered within the hedge delay gets a racing duplicate sent to the
-  next replica; first good answer wins (content-addressed results make
-  duplicates harmless — both compute the same bytes).
+  milliseconds; retries back off with deterministic jitter clamped to
+  what is left, and a peer receiving a spent budget refuses without
+  executing.  With ``hedge_ms`` set, a silent owner races a duplicate
+  interest to the next replica.
 * **Graceful degradation** — when every owner is unreachable the fabric
-  executes *locally*, in-process, instead of failing the request
-  (``degrade_local=True``, counted in ``degraded_local``, never silent).
-  The engine is deterministic, so the degraded answer is byte-identical
-  to the fabric answer — reject-or-exact holds all the way down; with
+  executes *locally*, in-process (``degrade_local=True``, counted in
+  ``degraded_local``, never silent).  The engine is deterministic, so the
+  degraded answer is byte-identical to the fabric answer; with
   degradation disabled the fabric raises
   :class:`~repro.fog.topology.FogUnavailable` exactly like the topology.
 * **Warm restarts** — the supervisor respawns killed nodes with jittered
-  backoff, and the fabric replays its hot-result journal into the fresh
-  store, every carry re-verified against its pinned sha256 digest.
+  backoff, and the transport replays its hot-result journal into the
+  fresh store, every carry re-verified against its pinned sha256 digest.
 """
 
 from __future__ import annotations
 
-import hashlib
 import threading
 import time
 from collections import OrderedDict
-from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..engine.observe import METRICS, TRACER, Metrics
+from ..engine.observe import METRICS, Metrics
 from ..engine.registry import array_digest
-from ..serve.executor import DeadlineExceeded, EngineExecutor
-from ..serve.protocol import (
-    Request,
-    carry_frame,
-    decode_array,
-    interest_frame,
-)
-from .names import name_request
+from ..serve.protocol import Request, carry_frame, decode_array, interest_frame
+from .names import ComputationName, name_request  # noqa: F401 — wrapped by name by tracers
 from .peer import CircuitBreaker, PeerClient, PeerError
 from .supervisor import FabricSupervisor
-from .topology import FogUnavailable, _rendezvous_score, _slug
+from .topology import Answer, Router, _roster, retry_backoff_ms
 
-__all__ = ["FogFabric", "retry_backoff_ms"]
+__all__ = ["FogFabric", "PeerTransport", "retry_backoff_ms"]
 
 #: Hot-journal size: how many recent results are replayed into a freshly
 #: restarted node's content store (bounded so warm restart stays cheap).
 _HOT_JOURNAL = 64
 
 
-class _Gate:
-    """One in-flight interest's singleflight rendezvous point."""
+class PeerTransport:
+    """The router's reach into supervised node processes.
 
-    __slots__ = ("event", "result", "error")
-
-    def __init__(self):
-        self.event = threading.Event()
-        self.result: Optional[np.ndarray] = None
-        self.error: Optional[BaseException] = None
-
-
-def retry_backoff_ms(
-    base_ms: float, attempt: int, token: str, cap_ms: float = 250.0
-) -> float:
-    """Jittered exponential retry delay, pure function of its arguments.
-
-    The jitter factor in ``[0.5, 1.5)`` derives from a sha256 of
-    ``(token, attempt)`` — deterministic for tests, decorrelated across
-    interests (the token is the interest URI), so a burst of failures
-    never retries in lockstep.
+    Keeps what only the socket path needs: the supervisor (liveness =
+    heartbeat verdict), one circuit breaker per peer, the wire digest check
+    on every answer, and the hot journal replayed on warm restarts.
     """
-    base = float(base_ms) * (2 ** int(attempt))
-    digest = hashlib.sha256(f"{token}|{attempt}".encode()).digest()
-    factor = 0.5 + int.from_bytes(digest[:8], "big") / 2**64
-    return min(float(cap_ms), base * factor)
+
+    def __init__(
+        self,
+        names: List[str],
+        node_opts: dict,
+        breaker_failures: int,
+        breaker_reset_ms: float,
+        request_timeout_s: float,
+        metrics: Metrics,
+        **supervisor_opts,
+    ):
+        self.names = names
+        self.metrics = metrics
+        self.request_timeout_s = float(request_timeout_s)
+        self.breakers: Dict[str, CircuitBreaker] = {
+            n: CircuitBreaker(
+                failure_threshold=breaker_failures,
+                reset_after_s=breaker_reset_ms / 1e3,
+                metrics=metrics,
+                name=n,
+            )
+            for n in names
+        }
+        self.supervisor = FabricSupervisor(
+            names,
+            node_opts=node_opts,
+            request_timeout_s=request_timeout_s,
+            metrics=metrics,
+            on_up=self._on_node_up,
+            **supervisor_opts,
+        )
+        self._owned_keys: Dict[str, Set[Tuple]] = {n: set() for n in names}
+        self._hot: "OrderedDict[str, Tuple[np.ndarray, str, float]]" = OrderedDict()
+        self._lock = threading.Lock()
+
+    # ------------------------------------------------------------------
+    def routable(self, name: str) -> bool:
+        """Serving per the supervisor, and the breaker is not open."""
+        return self.supervisor.serving(name) and self.breakers[name].state != CircuitBreaker.OPEN
+
+    def advertise(self, name: str, batch_key: Tuple) -> None:
+        with self._lock:
+            self._owned_keys[name].add(batch_key)
+        # Never block the data path on a suspect peer: the on_up hook
+        # re-advertises everything the moment it is welcomed back.
+        client = self.supervisor.client(name)
+        if not self.supervisor.serving(name) or client is None:
+            return
+        try:
+            client.call({"op": "advertise", "batch_key": list(batch_key)}, timeout_s=5.0)
+        except PeerError:
+            pass  # the warm-restart hook re-advertises when it comes back
+
+    def interest(
+        self,
+        name: str,
+        cname: ComputationName,
+        request: Request,
+        deadline: float,
+        hedged: bool = False,
+    ) -> Optional[Answer]:
+        """One interest to one peer; ``None`` on any failure.
+
+        A hedge leg rides a one-shot connection so an abandoned loser can
+        never leave a stale response in the shared stream.
+        """
+        breaker = self.breakers[name]
+        if not breaker.allow():
+            return None
+        remaining = (deadline - time.monotonic()) * 1e3
+        client = self.supervisor.client(name)
+        if remaining <= 0 or client is None:
+            return None
+        try:
+            resp = client.call(
+                interest_frame(request, budget_ms=remaining),
+                timeout_s=min(self.request_timeout_s, remaining / 1e3),
+                oneshot=hedged,
+            )
+        except PeerError:
+            breaker.record_failure()
+            self.metrics.inc("fabric.peer_failures")
+            return None
+        breaker.record_success()
+        return self._accept(resp)
+
+    def _accept(self, resp: dict) -> Optional[Answer]:
+        """Validate one peer response: decodable bytes, matching digest."""
+        if not resp.get("ok"):
+            return None  # cant_serve / deadline / exec_failed: next candidate
+        try:
+            result = decode_array(resp.get("result"))
+        except Exception:  # noqa: BLE001 — a bad payload is a failed peer
+            self.metrics.inc("fabric.bad_payloads")
+            return None
+        digest = resp.get("digest")
+        if digest != array_digest(result):
+            # The wire integrity check: bytes that do not hash to the
+            # producer's pinned digest are refused, exactly like a
+            # content-store read that fails re-verification.
+            self.metrics.inc("fabric.integrity_failures")
+            return None
+        source = "cache" if resp.get("source") == "cache" else "exec"
+        return Answer(result, source, float(resp.get("cost_ms", 1.0)), digest)
+
+    def carry(self, name: str, cname: ComputationName, answer: Answer) -> bool:
+        """Best-effort carry of a result into a peer's content store."""
+        client = self.supervisor.client(name)
+        if client is None:
+            return False
+        result = answer.result
+        try:
+            resp = client.call(
+                carry_frame(cname.uri(), result, array_digest(result), cost=answer.cost),
+                timeout_s=5.0,
+            )
+        except PeerError:
+            return False
+        return bool(resp.get("accepted"))
+
+    def remember(self, uri: str, answer: Answer) -> None:
+        """Journal a verified result for replay into restarted nodes."""
+        with self._lock:
+            self._hot.pop(uri, None)
+            self._hot[uri] = (answer.result, answer.digest, answer.cost)
+            while len(self._hot) > _HOT_JOURNAL:
+                self._hot.popitem(last=False)
+
+    def _on_node_up(self, name: str, client: PeerClient) -> None:
+        """Warm restart: re-advertise owned capabilities, replay hot results."""
+        self.breakers[name].reset()
+        with self._lock:
+            keys = list(self._owned_keys.get(name, ()))
+            hot = list(self._hot.items())
+        if not keys and not hot:
+            return  # initial spawn: nothing to restore yet
+        # The restart-with-state event already happened; count it before
+        # touching the wire so a flaky advertise can't erase the record.
+        self.metrics.inc("fabric.warm_restarts")
+        for key in keys:
+            for attempt in (0, 1):
+                try:
+                    client.call({"op": "advertise", "batch_key": list(key)}, timeout_s=5.0)
+                    break
+                except PeerError:
+                    if attempt:
+                        # Leave the key to lazy re-advertise on the next
+                        # interest; the reseed of the rest proceeds.
+                        self.metrics.inc("fabric.warm_advert_failures")
+        carried = 0
+        for uri, (result, digest, cost) in hot:
+            try:
+                resp = client.call(carry_frame(uri, result, digest, cost=cost), timeout_s=5.0)
+                if resp.get("accepted"):
+                    carried += 1
+            except PeerError:
+                self.metrics.inc("fabric.warm_carry_failures")
+                break
+        if carried:
+            self.metrics.inc("fabric.warm_carries", carried)
 
 
-class FogFabric:
+class FogFabric(Router):
     """A supervised multi-process fog routing named computations.
 
-    Drop-in for :class:`~repro.fog.topology.FogTopology`'s serving
+    The :class:`~repro.fog.topology.Router` over a :class:`PeerTransport`;
+    drop-in for :class:`~repro.fog.topology.FogTopology`'s serving
     contract (``submit`` / ``close`` / ``restart`` / ``stats`` /
     ``crash``), which is how :class:`~repro.fog.executor.FogExecutor`
     serves through it unchanged.
@@ -153,477 +286,44 @@ class FogFabric:
         node_workers: int = 4,
         start: bool = True,
     ):
-        if isinstance(nodes, int):
-            if nodes < 1:
-                raise ValueError("a fabric needs at least one node")
-            names = [f"n{i}" for i in range(nodes)]
-        else:
-            names = [str(n) for n in nodes]
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate node names: {names}")
+        names = _roster(nodes)
+        metrics = metrics if metrics is not None else METRICS
         self.node_names = names
-        self.replicas = min(int(replicas), len(names))
-        self.metrics = metrics if metrics is not None else METRICS
-        self.executor_opts = dict(executor_opts or {})
-        self.retries = int(retries)
-        self.retry_backoff_base_ms = float(retry_backoff_base_ms)
-        self.hedge_ms = None if hedge_ms is None else float(hedge_ms)
-        self.default_budget_ms = float(default_budget_ms)
-        self.degrade_local = bool(degrade_local)
         self.request_timeout_s = float(request_timeout_s)
-        self.supervisor = FabricSupervisor(
+        transport = PeerTransport(
             names,
             node_opts={
-                "executor_opts": self.executor_opts,
+                "executor_opts": dict(executor_opts or {}),
                 "capacity_bytes": int(capacity_bytes),
                 "store_policy": str(store_policy),
                 "store_reverify": int(store_reverify),
                 "workers": int(node_workers),
             },
+            breaker_failures=breaker_failures,
+            breaker_reset_ms=breaker_reset_ms,
+            request_timeout_s=request_timeout_s,
+            metrics=metrics,
             heartbeat_ms=heartbeat_ms,
             miss_budget=miss_budget,
             restart_backoff_base_s=restart_backoff_base_s,
             max_restarts=max_restarts,
-            request_timeout_s=request_timeout_s,
-            metrics=self.metrics,
-            on_up=self._on_node_up,
         )
-        self.breakers: Dict[str, CircuitBreaker] = {
-            n: CircuitBreaker(
-                failure_threshold=breaker_failures,
-                reset_after_s=breaker_reset_ms / 1e3,
-                metrics=self.metrics,
-                name=n,
-            )
-            for n in names
-        }
-        self._owners: Dict[Tuple, List[str]] = {}
-        self._owned_keys: Dict[str, Set[Tuple]] = {n: set() for n in names}
-        self._hot: "OrderedDict[str, Tuple[np.ndarray, str, float]]" = OrderedDict()
-        self._local: Optional[EngineExecutor] = None
-        self._lock = threading.Lock()
-        self._inflight: Dict[str, "_Gate"] = {}
-        self._sf_lock = threading.Lock()
-        self._hedge_pool = ThreadPoolExecutor(
-            max_workers=max(2, 2 * len(names)), thread_name_prefix="fabric-hedge"
+        super().__init__(
+            transport,
+            replicas=replicas,
+            metrics=metrics,
+            prefix="fabric",
+            retries=retries,
+            retry_backoff_base_ms=retry_backoff_base_ms,
+            hedge_ms=hedge_ms,
+            default_budget_ms=float(default_budget_ms),
+            degrade_local=degrade_local,
+            executor_opts=executor_opts,
         )
-        self._ingress_counter = 0
-        self.submitted = 0
-        self.completed = 0
-        self.collapsed = 0
-        self.cache_hits = 0
-        self.remote_execs = 0
-        self.retries_used = 0
-        self.hedges = 0
-        self.hedge_wins = 0
-        self.degraded = 0
-        self.unavailable = 0
+        self.supervisor = transport.supervisor
+        self.breakers = transport.breakers
         if start:
             self.supervisor.start()
-
-    # ------------------------------------------------------------------
-    # Ownership (rendezvous over the full roster, like the topology)
-    # ------------------------------------------------------------------
-    def owners(self, batch_key: Tuple) -> List[str]:
-        """Owner names, primary first — a pure function of the roster."""
-        with self._lock:
-            owners = self._owners.get(batch_key)
-            if owners is not None:
-                return owners
-        slug = _slug(batch_key)
-        ranked = sorted(
-            self.node_names,
-            key=lambda n: _rendezvous_score(n, slug),
-            reverse=True,
-        )
-        owners = ranked[: self.replicas]
-        with self._lock:
-            self._owners[batch_key] = owners
-            for name in owners:
-                self._owned_keys[name].add(batch_key)
-        for name in owners:
-            self._advertise(name, batch_key)
-        self.metrics.inc("fabric.capabilities_assigned")
-        return owners
-
-    def _advertise(self, name: str, batch_key: Tuple) -> None:
-        # Never block the data path on a suspect peer: the on_up hook
-        # re-advertises everything the moment it is welcomed back.
-        if not self.supervisor.serving(name):
-            return
-        client = self.supervisor.client(name)
-        if client is None:
-            return
-        try:
-            client.call(
-                {"op": "advertise", "batch_key": list(batch_key)}, timeout_s=5.0
-            )
-        except PeerError:
-            pass  # the warm-restart hook re-advertises when it comes back
-
-    def _on_node_up(self, name: str, client: PeerClient) -> None:
-        """Warm restart: re-advertise owned capabilities, replay hot results."""
-        self.breakers[name].reset()
-        with self._lock:
-            keys = list(self._owned_keys.get(name, ()))
-            hot = list(self._hot.items())
-        if not keys and not hot:
-            return  # initial spawn: nothing to restore yet
-        # The restart-with-state event already happened; count it before
-        # touching the wire so a flaky advertise can't erase the record.
-        self.metrics.inc("fabric.warm_restarts")
-        for key in keys:
-            for attempt in (0, 1):
-                try:
-                    client.call(
-                        {"op": "advertise", "batch_key": list(key)}, timeout_s=5.0
-                    )
-                    break
-                except PeerError:
-                    if attempt:
-                        # Leave the key to lazy re-advertise on the next
-                        # interest; the reseed of the rest proceeds.
-                        self.metrics.inc("fabric.warm_advert_failures")
-        carried = 0
-        for uri, (result, digest, cost) in hot:
-            try:
-                resp = client.call(
-                    carry_frame(uri, result, digest, cost=cost, binary=True),
-                    timeout_s=5.0,
-                )
-                if resp.get("accepted"):
-                    carried += 1
-            except PeerError:
-                self.metrics.inc("fabric.warm_carry_failures")
-                break
-        if carried:
-            self.metrics.inc("fabric.warm_carries", carried)
-
-    # ------------------------------------------------------------------
-    # Liveness view: supervisor verdict + breaker state
-    # ------------------------------------------------------------------
-    def routable(self, name: str) -> bool:
-        """May an interest be sent to this peer right now?"""
-        return self.supervisor.serving(name) and self.breakers[
-            name
-        ].state != CircuitBreaker.OPEN
-
-    def _ingress(self) -> Optional[str]:
-        candidates = [n for n in self.node_names if self.routable(n)]
-        if not candidates:
-            return None
-        name = candidates[self._ingress_counter % len(candidates)]
-        self._ingress_counter += 1
-        return name
-
-    # ------------------------------------------------------------------
-    # The fabric request walk
-    # ------------------------------------------------------------------
-    def submit(self, request: Request, budget_ms: Optional[float] = None) -> np.ndarray:
-        """Route one named computation through the fabric.
-
-        Duplicate in-flight interests for the same :class:`ComputationName`
-        **collapse**: the first becomes the leader and walks the fabric;
-        the rest attach as waiters to its gate (NFN-style interest
-        aggregation — counted in ``collapsed``) instead of re-dialing or
-        re-executing.  A collapsed waiter still honors its *own* deadline
-        budget: it waits only as long as its budget allows, and if the
-        leader fails it retries as leader with whatever budget it has
-        left.  Content-addressed results make the sharing safe — every
-        in-flight duplicate would have computed the same bytes.
-
-        Returns the result array, or raises :class:`DeadlineExceeded`
-        (budget spent), :class:`FogUnavailable` (no owner reachable and
-        degradation disabled) — rejected, never wrong, never silent.
-        """
-        self.submitted += 1
-        self.metrics.inc("fabric.submitted")
-        t0 = time.monotonic()
-        if budget_ms is None:
-            if request.deadline_s is not None:
-                budget_ms = (request.deadline_s - t0) * 1e3
-            else:
-                budget_ms = self.default_budget_ms
-        deadline = t0 + max(0.0, float(budget_ms)) / 1e3
-        name = name_request(request)
-        uri = name.uri()
-        while True:
-            with self._sf_lock:
-                gate = self._inflight.get(uri)
-                leading = gate is None
-                if leading:
-                    gate = self._inflight[uri] = _Gate()
-            if leading:
-                try:
-                    with TRACER.span("fabric.submit", interest=uri):
-                        result = self._walk(request, uri, deadline)
-                    gate.result = result
-                except BaseException as err:
-                    gate.error = err
-                    raise
-                finally:
-                    with self._sf_lock:
-                        self._inflight.pop(uri, None)
-                    gate.event.set()
-            else:
-                self.collapsed += 1
-                self.metrics.inc("fabric.collapsed")
-                remaining_s = deadline - time.monotonic()
-                if remaining_s <= 0 or not gate.event.wait(remaining_s):
-                    self.metrics.inc("fabric.deadline_exhausted")
-                    raise DeadlineExceeded(
-                        f"deadline budget spent waiting on collapsed interest {uri}"
-                    )
-                if gate.error is not None:
-                    continue  # leader failed: lead with our remaining budget
-                result = gate.result
-            self.completed += 1
-            self.metrics.inc("fabric.completed")
-            self.metrics.observe("fabric.submit_s", time.monotonic() - t0)
-            return result
-
-    def _remaining_ms(self, deadline: float) -> float:
-        return (deadline - time.monotonic()) * 1e3
-
-    def _walk(self, request: Request, uri: str, deadline: float) -> np.ndarray:
-        key = request.batch_key()
-        owners = self.owners(key)
-        tried: Set[str] = set()
-        # Hop 1 — the ingress edge node: cache answer or owner execution.
-        ingress = self._ingress()
-        if ingress is not None and self._remaining_ms(deadline) > 0:
-            tried.add(ingress)
-            result = self._try_peer(ingress, request, uri, deadline)
-            if result is not None:
-                return result
-        elif ingress is None:
-            self.metrics.inc("fabric.no_ingress")
-        # Hop 2..n — the capability's owners in rendezvous order, each
-        # with its retry budget, skipping whoever was already tried.
-        candidates = [n for n in owners if n not in tried]
-        reroute_counted = False
-        for idx, owner in enumerate(candidates):
-            if not self.routable(owner):
-                if not reroute_counted and owner == owners[0]:
-                    self.metrics.inc("fabric.reroutes")
-                    reroute_counted = True
-                continue
-            next_replica = next(
-                (n for n in candidates[idx + 1 :] if self.routable(n)), None
-            )
-            for attempt in range(self.retries + 1):
-                remaining = self._remaining_ms(deadline)
-                if remaining <= 0:
-                    break
-                if attempt > 0:
-                    delay = retry_backoff_ms(
-                        self.retry_backoff_base_ms, attempt - 1, uri
-                    )
-                    # Never sleep (or retry) past the deadline budget.
-                    delay = min(delay, remaining)
-                    if delay <= 0:
-                        break
-                    time.sleep(delay / 1e3)
-                    if self._remaining_ms(deadline) <= 0:
-                        break
-                    self.retries_used += 1
-                    self.metrics.inc("fabric.retries")
-                result = self._try_peer(
-                    owner, request, uri, deadline, hedge_to=next_replica
-                )
-                if result is not None:
-                    # Reverse-path caching: the answer rides back to the
-                    # ingress so repeated interests hit where they enter.
-                    if ingress is not None and ingress != owner:
-                        self._carry_to(ingress, uri, result)
-                    return result
-                if not self.routable(owner):
-                    break  # breaker tripped mid-attempts: move on
-            tried.add(owner)
-        if self._remaining_ms(deadline) <= 0:
-            self.metrics.inc("fabric.deadline_exhausted")
-            raise DeadlineExceeded(
-                f"deadline budget spent routing {uri} (tried {sorted(tried)})"
-            )
-        # Degradation ladder, last rung: every owner unreachable — serve
-        # the request locally (counted) rather than serving nothing.
-        if self.degrade_local:
-            return self._execute_local(request, uri)
-        self.unavailable += 1
-        self.metrics.inc("fabric.unavailable")
-        raise FogUnavailable(
-            f"no reachable owner for {_slug(key)} (interest {uri})", name=uri
-        )
-
-    def _try_peer(
-        self,
-        name: str,
-        request: Request,
-        uri: str,
-        deadline: float,
-        hedge_to: Optional[str] = None,
-    ) -> Optional[np.ndarray]:
-        """One interest to one peer (optionally hedged); None on failure."""
-        breaker = self.breakers[name]
-        if not breaker.allow():
-            return None
-        remaining = self._remaining_ms(deadline)
-        if remaining <= 0:
-            return None
-        timeout_s = min(self.request_timeout_s, remaining / 1e3)
-        if self.hedge_ms is not None and hedge_to is not None:
-            return self._hedged_call(name, hedge_to, request, uri, deadline)
-        client = self.supervisor.client(name)
-        if client is None:
-            return None
-        try:
-            resp = client.call(
-                interest_frame(request, budget_ms=remaining, binary=True),
-                timeout_s=timeout_s,
-            )
-        except PeerError:
-            breaker.record_failure()
-            self.metrics.inc("fabric.peer_failures")
-            return None
-        breaker.record_success()
-        return self._accept(resp, uri)
-
-    def _hedged_call(
-        self,
-        primary: str,
-        secondary: str,
-        request: Request,
-        uri: str,
-        deadline: float,
-    ) -> Optional[np.ndarray]:
-        """Race the primary against a delayed duplicate on the secondary.
-
-        Both legs run on one-shot connections so an abandoned loser can
-        never desynchronize a persistent stream.  Breaker outcomes are
-        recorded per leg as each completes.
-        """
-
-        def leg(peer_name: str):
-            client = self.supervisor.client(peer_name)
-            if client is None:
-                raise PeerError(f"no client for {peer_name}")
-            remaining = self._remaining_ms(deadline)
-            if remaining <= 0:
-                raise PeerError("budget exhausted before send")
-            try:
-                resp = client.call(
-                    interest_frame(request, budget_ms=remaining, binary=True),
-                    timeout_s=min(self.request_timeout_s, remaining / 1e3),
-                    oneshot=True,
-                )
-            except PeerError:
-                self.breakers[peer_name].record_failure()
-                self.metrics.inc("fabric.peer_failures")
-                raise
-            self.breakers[peer_name].record_success()
-            return resp
-
-        futures = {self._hedge_pool.submit(leg, primary): primary}
-        hedged = False
-        while futures:
-            remaining_s = max(0.0, (deadline - time.monotonic()))
-            if remaining_s == 0:
-                break
-            wait_s = remaining_s
-            if not hedged:
-                wait_s = min(wait_s, self.hedge_ms / 1e3)
-            done, _ = wait(futures, timeout=wait_s, return_when=FIRST_COMPLETED)
-            for fut in done:
-                peer_name = futures.pop(fut)
-                err = fut.exception()
-                if err is not None:
-                    continue
-                resp = fut.result()
-                result = self._accept(resp, uri)
-                if result is not None:
-                    if hedged and peer_name == secondary:
-                        self.hedge_wins += 1
-                        self.metrics.inc("fabric.hedge_wins")
-                    return result
-            if not done and not hedged:
-                hedged = True
-                self.hedges += 1
-                self.metrics.inc("fabric.hedges")
-                futures[self._hedge_pool.submit(leg, secondary)] = secondary
-        return None
-
-    def _carry_to(self, name: str, uri: str, result: np.ndarray) -> None:
-        """Best-effort carry of a result into a peer's content store."""
-        if not self.routable(name):
-            return
-        client = self.supervisor.client(name)
-        if client is None:
-            return
-        with self._lock:
-            hot = self._hot.get(uri)
-        cost = hot[2] if hot is not None else None
-        try:
-            resp = client.call(
-                carry_frame(uri, result, array_digest(result), cost=cost, binary=True),
-                timeout_s=5.0,
-            )
-        except PeerError:
-            return
-        if resp.get("accepted"):
-            self.metrics.inc("fabric.repopulations")
-
-    def _accept(self, resp: dict, uri: str) -> Optional[np.ndarray]:
-        """Validate one peer response; journal + repopulate on success."""
-        if not resp.get("ok"):
-            return None  # cant_serve / deadline / exec_failed: next candidate
-        try:
-            result = decode_array(resp.get("result"))
-        except Exception:  # noqa: BLE001 — a bad payload is a failed peer
-            self.metrics.inc("fabric.bad_payloads")
-            return None
-        digest = resp.get("digest")
-        if digest != array_digest(result):
-            # The wire integrity check: bytes that do not hash to the
-            # producer's pinned digest are refused, exactly like a
-            # content-store read that fails re-verification.
-            self.metrics.inc("fabric.integrity_failures")
-            return None
-        if resp.get("source") == "cache":
-            self.cache_hits += 1
-            self.metrics.inc("fabric.cache_hits")
-        else:
-            self.remote_execs += 1
-            self.metrics.inc("fabric.remote_execs")
-        cost = float(resp.get("cost_ms", 1.0))
-        self._journal(uri, result, digest, cost)
-        return result
-
-    def _journal(self, uri: str, result: np.ndarray, digest: str, cost: float) -> None:
-        with self._lock:
-            self._hot.pop(uri, None)
-            self._hot[uri] = (result, digest, cost)
-            while len(self._hot) > _HOT_JOURNAL:
-                self._hot.popitem(last=False)
-
-    def _execute_local(self, request: Request, uri: str) -> np.ndarray:
-        """The degradation rung: in-process execution, counted, byte-exact."""
-        with self._lock:
-            if self._local is None:
-                opts = dict(self.executor_opts)
-                opts.setdefault("metrics", self.metrics)
-                self._local = EngineExecutor(**opts)
-            local = self._local
-        started = time.perf_counter()
-        results = local.execute(request.batch_key(), [request])
-        result = results[0]
-        if isinstance(result, Exception):
-            raise result
-        cost_ms = (time.perf_counter() - started) * 1e3
-        self.degraded += 1
-        self.metrics.inc("fabric.degraded_local")
-        result = np.asarray(result)
-        self._journal(uri, result, array_digest(result), cost_ms)
-        return result
 
     # ------------------------------------------------------------------
     # Chaos + lifecycle + observability
@@ -636,12 +336,8 @@ class FogFabric:
     crash = kill
 
     def close(self) -> None:
-        self._hedge_pool.shutdown(wait=False, cancel_futures=True)
         self.supervisor.stop()
-        with self._lock:
-            if self._local is not None:
-                self._local.close()
-                self._local = None
+        super().close()
 
     def restart(self) -> None:
         """Post-chaos reset: trust every peer again (breakers close)."""
@@ -661,28 +357,16 @@ class FogFabric:
         return {
             "nodes": self.supervisor.stats(),
             "breakers": {n: b.stats() for n, b in self.breakers.items()},
-            "replicas": self.replicas,
             "serving": self.supervisor.serving_names(),
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "collapsed": self.collapsed,
-            "cache_hits": self.cache_hits,
+            **super().stats(),
             "remote_execs": self.remote_execs,
             "retries": self.retries_used,
             "hedges": self.hedges,
             "hedge_wins": self.hedge_wins,
             "degraded_local": self.degraded,
-            "unavailable": self.unavailable,
-            "hot_journal": len(self._hot),
-            "capabilities": {
-                _slug(key): owners for key, owners in self._owners.items()
-            },
+            "hot_journal": len(self.transport._hot),
         }
 
     def __enter__(self):
         self.supervisor.start()
         return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False

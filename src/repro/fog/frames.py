@@ -1,11 +1,10 @@
 """repro.fog.frames — length-prefixed binary framing for the peer wire.
 
-The fabric's original wire format shipped every tensor as base64 inside
-the NDJSON frame: +33% bytes on the wire and an encode/decode pass on
-both ends of every interest.  This module replaces that with a two-part
-frame that keeps the NDJSON header (one JSON object per line — cheap to
-parse, easy to extend, trivially debuggable) but moves array payloads out
-of the JSON entirely:
+Shipping tensors as base64 inside an NDJSON line costs +33% bytes on the
+wire and an encode/decode pass on both ends of every interest.  This
+module uses a two-part frame instead: it keeps the NDJSON header (one
+JSON object per line — cheap to parse, easy to extend, trivially
+debuggable) but moves array payloads out of the JSON entirely:
 
 .. code-block:: text
 
@@ -27,9 +26,9 @@ of the JSON entirely:
   escapes.
 
 A frame with no arrays degenerates to a plain NDJSON line (no ``bins``
-key), which keeps heartbeats/acks byte-compatible with the PR 9 wire and
-lets one assembler parse both framings — the node server accepts legacy
-base64 frames and binary frames on the same connection.
+key), so heartbeats and acks stay readable on the wire.  Binary frames
+are the only array encoding between peers: a base64 ``{dtype, shape,
+data}`` object where an array belongs is rejected as malformed.
 """
 
 from __future__ import annotations

@@ -10,16 +10,19 @@ produced or carried.  Kernel tables themselves come from the process-wide
 machines sharing one prebuilt ``.npz`` table cache.
 
 Nodes are deliberately passive about routing: the
-:class:`~repro.fog.topology.FogTopology` decides where an interest goes;
-the node only answers "can I serve this name?" three ways — from cache,
-by local execution, or not at all.  Crashing a node flips ``alive`` and
-wipes its content store (volatile memory is what crashes take with them);
-its advertisement survives, which is exactly why stale routes need the
-topology's reroute path.
+:class:`~repro.fog.topology.Router` decides where an interest goes; the
+node only answers "can I serve this name?" three ways — from cache, by
+local execution, or not at all (:meth:`FogNode.answer`, the one answer
+path behind both the in-process topology and the fabric's node
+processes).  Crashing a node flips ``alive`` and wipes its content store
+(volatile memory is what crashes take with them); its advertisement
+survives, which is exactly why stale routes need the router's reroute
+path.
 """
 
 from __future__ import annotations
 
+import threading
 import time
 from typing import Dict, FrozenSet, Optional, Tuple
 
@@ -70,24 +73,8 @@ class FogNode:
         self.alive = True
         self.executions = 0
         self.crashes = 0
-        self.last_heartbeat_s: Optional[float] = None
-
-    # ------------------------------------------------------------------
-    def heartbeat(self, now: Optional[float] = None) -> Dict[str, object]:
-        """Answer a liveness probe (raises :class:`NodeDown` when down).
-
-        The in-process analogue of the fabric's heartbeat frame: records
-        when the node last acked so a failure detector can age it out.
-        """
-        if not self.alive:
-            raise NodeDown(self.name)
-        self.last_heartbeat_s = time.monotonic() if now is None else float(now)
-        return {
-            "node": self.name,
-            "executions": self.executions,
-            "store_entries": len(self.store),
-            "at_s": self.last_heartbeat_s,
-        }
+        self._exec_locks: Dict[Tuple, threading.Lock] = {}
+        self._exec_locks_guard = threading.Lock()
 
     # ------------------------------------------------------------------
     def serves(self, batch_key: Tuple) -> bool:
@@ -108,6 +95,30 @@ class FogNode:
         else:
             self.metrics.inc(f"fog.node.{self.name}.cache_misses")
         return result
+
+    def answer(self, name: ComputationName, request: Request) -> Optional[Tuple[np.ndarray, str]]:
+        """Answer one interest: ``(result, "cache" | "exec")``, or ``None``.
+
+        Lookup, then execution if this node owns the capability, else
+        decline.  Executions of one capability serialize on a lock, and an
+        interest that queued behind a duplicate finds its result in the
+        store instead of executing again (node-side singleflight).
+        Raises :class:`NodeDown` when down, or whatever the engine raised.
+        """
+        cached = self.lookup(name)
+        if cached is not None:
+            return cached, "cache"
+        key = request.batch_key()
+        if not self.serves(key):
+            return None
+        with self._exec_locks_guard:
+            lock = self._exec_locks.setdefault(key, threading.Lock())
+        with lock:
+            if name.uri() in self.store:
+                cached = self.lookup(name)
+                if cached is not None:
+                    return cached, "cache"
+            return self.execute(request), "exec"
 
     def execute(self, request: Request) -> np.ndarray:
         """Execute one named computation locally and cache the result.

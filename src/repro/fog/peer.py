@@ -2,15 +2,16 @@
 
 The cross-process half of the fog lives here.  :func:`node_main` is the
 entry point of one spawned **node process**: it binds an ephemeral
-localhost socket, reports the port back through a pipe, and serves frames
-(:mod:`repro.fog.frames` binary framing, legacy NDJSON accepted on the
-same connections) — ``interest`` (answer from the content store or execute
-locally), ``carry`` (on-path cache repopulation, digest-verified before
-insertion), ``advertise``, ``heartbeat``, ``stats`` and ``shutdown``.
-Inside, the process is just a :class:`~repro.fog.node.FogNode`: same
-executor, same content store, same bytes as the in-process topology —
+localhost socket, reports the port back through a pipe, and serves
+:mod:`repro.fog.frames` binary frames — ``interest`` (answer from the
+content store or execute locally), ``carry`` (on-path cache
+repopulation, digest-verified before insertion), ``advertise``,
+``heartbeat``, ``stats`` and ``shutdown``.
+Inside, the process is just a :class:`~repro.fog.node.FogNode` answering
+through the same :meth:`~repro.fog.node.FogNode.answer` path as the
+in-process topology: same executor, same content store, same bytes —
 which is exactly why fabric results replay byte-identical against the
-PR 7 fog golden vectors.
+fog golden vectors.
 
 On the parent side, :class:`PeerClient` is the **pipelined** socket client
 the fabric routes through.  Every frame carries a client-assigned request
@@ -29,9 +30,7 @@ desynchronize anything.
 
 On the node side a small worker pool serves data-plane frames
 concurrently — control frames (heartbeat/stats) are answered inline by the
-connection reader so a busy pool can never starve the failure detector —
-with per-capability execution locks so duplicate in-flight interests for
-one name collapse into a single execution.
+connection reader so a busy pool can never starve the failure detector.
 
 :class:`CircuitBreaker` wraps each peer with the classic three-state
 machine — **closed** (normal), **open** (recent failures: fail fast, stop
@@ -52,13 +51,10 @@ import numpy as np
 
 from ..engine.observe import METRICS, Metrics
 from ..engine.registry import array_digest
-from ..serve.protocol import ProtocolError, request_from_wire
+from ..serve.protocol import ProtocolError, decode_array, heartbeat_frame, request_from_wire
 from .frames import FrameAssembler, pack_frame
 
 __all__ = ["CircuitBreaker", "PeerClient", "PeerError", "node_main"]
-
-#: Longest frame a peer will buffer (header + binary body).
-_MAX_FRAME = 32 * 1024 * 1024
 
 
 class PeerError(Exception):
@@ -290,7 +286,7 @@ class PeerClient:
     # ------------------------------------------------------------------
     def _reader_loop(self, sock: socket.socket, generation: int) -> None:
         """Demux thread: read frames, complete the matching waiters."""
-        assembler = FrameAssembler(max_frame=_MAX_FRAME)
+        assembler = FrameAssembler()
         while True:
             try:
                 frame = assembler.next_frame()
@@ -348,6 +344,11 @@ class PeerClient:
         shared stream.
         """
         timeout = self.request_timeout_s if timeout_s is None else float(timeout_s)
+        if timeout <= 0:
+            # No wait can be met: decide now, before the frame is on the
+            # wire, instead of racing the peer's answer.
+            self.metrics.inc("fabric.peer.call_timeouts")
+            raise PeerError(f"call to {self.name} with no time left ({timeout:.3f}s)")
         if oneshot:
             return self._call_oneshot(frame, timeout)
         with self._io_lock:
@@ -410,7 +411,7 @@ class PeerClient:
         assembler: Optional[FrameAssembler] = None,
     ) -> dict:
         """Read exactly one frame off a serial (non-pipelined) socket."""
-        assembler = assembler if assembler is not None else FrameAssembler(_MAX_FRAME)
+        assembler = assembler if assembler is not None else FrameAssembler()
         while True:
             try:
                 frame = assembler.next_frame()
@@ -433,12 +434,12 @@ class PeerClient:
         ack — drops it so the next probe re-dials fresh.  Probes are
         strictly serial request/response, so no rid bookkeeping is needed.
         """
-        frame = {"op": "heartbeat", "seq": int(seq)}
+        frame = heartbeat_frame(seq)
         with self._probe_lock:
             try:
                 if self._probe_sock is None:
                     self._probe_sock = self._connect()
-                    self._probe_asm = FrameAssembler(_MAX_FRAME)
+                    self._probe_asm = FrameAssembler()
                     self.probe_dials += 1
                     self.metrics.inc("fabric.peer.probe_dials")
                 sock = self._probe_sock
@@ -499,25 +500,14 @@ def _tuple_key(parts) -> tuple:
 class _NodeServer:
     """The frame handler running inside one fabric node process.
 
-    The content store is internally locked, so the only extra
-    coordination needed for concurrent frames is a per-capability
-    execution lock: duplicate in-flight interests for one name serialize
-    on it and the second finds the first's result in the store
-    (node-side singleflight) instead of re-executing.
+    Interests go through :meth:`FogNode.answer <repro.fog.node.FogNode.answer>`
+    — the same answer path the in-process topology uses, node-side
+    singleflight included; this class only translates frames.
     """
 
     def __init__(self, node):
         self.node = node
         self._cap_lock = threading.Lock()
-        self._exec_locks: Dict[tuple, threading.Lock] = {}
-        self._exec_locks_guard = threading.Lock()
-
-    def _exec_lock(self, key: tuple) -> threading.Lock:
-        with self._exec_locks_guard:
-            lock = self._exec_locks.get(key)
-            if lock is None:
-                lock = self._exec_locks[key] = threading.Lock()
-            return lock
 
     # ------------------------------------------------------------------
     def handle(self, frame: dict) -> dict:
@@ -558,31 +548,21 @@ class _NodeServer:
         from .names import name_request  # local import: avoid cycle at module load
 
         name = name_request(request)
-        cached = self.node.lookup(name)
-        if cached is not None:
-            return self._result(name, cached, source="cache")
-        key = request.batch_key()
-        if not self.node.serves(key):
+        try:
+            found = self.node.answer(name, request)
+        except Exception as err:  # noqa: BLE001 — resolve over the wire
+            return {
+                "ok": False,
+                "error": "exec_failed",
+                "message": f"{type(err).__name__}: {err}",
+            }
+        if found is None:
             return {
                 "ok": False,
                 "error": "cant_serve",
-                "message": f"{self.node.name} does not own {key}",
+                "message": f"{self.node.name} does not own {request.batch_key()}",
             }
-        with self._exec_lock(key):
-            # Re-check under the lock: a duplicate interest that queued
-            # behind the first execution collapses into its cached result.
-            cached = self.node.lookup(name)
-            if cached is not None:
-                return self._result(name, cached, source="cache")
-            try:
-                result = self.node.execute(request)
-            except Exception as err:  # noqa: BLE001 — resolve over the wire
-                return {
-                    "ok": False,
-                    "error": "exec_failed",
-                    "message": f"{type(err).__name__}: {err}",
-                }
-        return self._result(name, result, source="exec")
+        return self._result(name, *found)
 
     def _result(self, name, result: np.ndarray, source: str) -> dict:
         resp = {
@@ -597,8 +577,6 @@ class _NodeServer:
         return resp
 
     def _carry(self, frame: dict) -> dict:
-        from ..serve.protocol import decode_array
-
         try:
             result = decode_array(frame.get("result"))
         except ProtocolError as err:
@@ -633,7 +611,7 @@ _CONTROL_OPS = frozenset({"heartbeat", "stats", "shutdown"})
 def _serve_connection(
     conn: socket.socket, server: _NodeServer, pool: ThreadPoolExecutor
 ) -> None:
-    assembler = FrameAssembler(_MAX_FRAME)
+    assembler = FrameAssembler()
     wlock = threading.Lock()
 
     def reply(response: dict, rid) -> None:

@@ -18,7 +18,8 @@ attribute into a measurement:
 * **Warm restart** — after a restart the supervisor fires ``on_up`` so
   the fabric can re-advertise the node's capabilities and replay its hot
   results into the fresh (empty) content store, each carry re-verified
-  against its pinned sha256 digest on the way in.
+  against its pinned sha256 digest on the way in.  The node is marked
+  serving only after ``on_up`` returns.
 
 Everything here is also the chaos surface: :meth:`kill` SIGKILLs a live
 node mid-load exactly like ``kill -9`` would, and
@@ -94,8 +95,8 @@ class FabricSupervisor:
         restart_backoff_s / max_restarts: Backoff base and per-node
             restart budget for dead processes.
         on_up: Callback ``(name, client)`` fired after every (re)spawn
-            once the node answers its first heartbeat — the fabric's
-            warm-restart hook.
+            and every recovery from suspicion — the fabric's warm-restart
+            hook.  The node turns routable only once it returns.
     """
 
     def __init__(
@@ -200,12 +201,14 @@ class FabricSupervisor:
             metrics=self.metrics,
         )
         rec.misses = 0
-        rec.serving = True
         rec.restart_due_s = None
         rec.last_ack_s = time.monotonic()
         self.metrics.inc("fabric.spawns")
+        # Routable only once the warm restart is done: a node serving an
+        # empty store before its hot journal is replayed is not recovered.
         if self.on_up is not None:
             self.on_up(rec.name, rec.client)
+        rec.serving = True
 
     # ------------------------------------------------------------------
     # Monitor: heartbeats + restart-with-backoff
@@ -262,14 +265,15 @@ class FabricSupervisor:
         rec.last_ack_s = time.monotonic()
         recovered = rec.misses >= self.miss_budget or not rec.serving
         rec.misses = 0
-        rec.serving = True
         if recovered:
             self.metrics.inc("fabric.heartbeat.recoveries")
             # Welcome-back hook: a node that was suspect (e.g. SIGSTOP)
             # missed any capabilities advertised while it was away —
-            # let the fabric re-advertise and replay hot results.
+            # let the fabric re-advertise and replay hot results before
+            # routing resumes.
             if self.on_up is not None:
                 self.on_up(rec.name, rec.client)
+        rec.serving = True
 
     # ------------------------------------------------------------------
     # Chaos + queries

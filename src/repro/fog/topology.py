@@ -1,48 +1,66 @@
-"""repro.fog.topology — routing named computations across a fog of nodes.
+"""repro.fog.topology — one router for named computations across a fog.
 
-The multi-node story of the ROADMAP, in one process: a
-:class:`FogTopology` owns N :class:`~repro.fog.node.FogNode`\\ s, assigns
-each capability (serve-layer batch key) to ``replicas`` owner nodes by
-**rendezvous hashing** — deterministic, stable under membership churn, and
-with a built-in fallback order — and drives the NFN request walk:
+Both fog deployments route with the same :class:`Router`; they differ
+only in the *transport* it reaches nodes through:
 
-1. the interest enters at an ingress node (round-robin);
-2. the ingress answers from its content store if the name is cached;
-3. otherwise it executes locally if it advertises the capability;
-4. otherwise it **forwards** to the capability's owners in rendezvous
-   order — skipping dead owners counts a *reroute* — and on success the
-   result is cached both at the executing owner and along the reverse
-   path back to the ingress (on-path caching, so repeated interests hit
-   closer and closer to where they enter).
+* :class:`FogTopology` — N in-process :class:`~repro.fog.node.FogNode`\\ s
+  behind a :class:`LocalTransport` (liveness is ``node.alive``);
+* :class:`~repro.fog.fabric.FogFabric` — supervised node processes behind
+  sockets (:class:`~repro.fog.fabric.PeerTransport`).
 
-Node loss is first-class: :meth:`FogTopology.crash` wipes the node's
-volatile content store, interests re-route to surviving replicas, and the
-caches re-populate as results flow again — :class:`ChurnDriver` scripts
-exactly that from a deterministic
-:class:`~repro.engine.faults.ChaosPlan`.  When every replica of a
-capability is down the interest fails *loudly* with
+The router assigns each capability (serve-layer batch key) to
+``replicas`` owner nodes by **rendezvous hashing** — deterministic, stable
+under membership churn, and with a built-in fallback order — and drives
+the NFN request walk:
+
+1. the interest enters at an ingress node (round-robin over routable nodes);
+2. the ingress answers from its content store, or executes if it owns the
+   capability (:meth:`FogNode.answer <repro.fog.node.FogNode.answer>`);
+3. otherwise it is **forwarded** to the capability's owners in rendezvous
+   order — skipping the primary counts a *reroute* — each owner with its
+   retry budget and, optionally, a hedge racing the next replica;
+4. an owner's answer rides the reverse path back into the ingress store
+   (on-path caching, so repeated interests hit where they enter).
+
+Duplicate in-flight interests collapse onto one walk (singleflight), and
+each walk spends one deadline budget.  What no owner can answer is
+executed locally (``degrade_local``, counted) or rejected with
 :class:`FogUnavailable`: the fog rejects what it cannot serve, it never
-fabricates or drops an accepted answer.
+fabricates or drops an accepted answer.  Node loss is first-class:
+:meth:`FogTopology.crash` wipes the node's volatile content store, and
+:class:`ChurnDriver` scripts crashes and revivals from a deterministic
+:class:`~repro.engine.faults.ChaosPlan`.
 """
 
 from __future__ import annotations
 
 import hashlib
+import math
 import threading
 import time
-from typing import Dict, List, Optional, Sequence, Tuple
+from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..engine.faults import ChaosPlan
 from ..engine.observe import METRICS, TRACER, Metrics
+from ..engine.registry import array_digest
 from ..serve.executor import DeadlineExceeded, EngineExecutor
 from ..serve.protocol import Request
 from .names import ComputationName, name_request
 from .node import FogNode, NodeDown
 from .store import ContentStore, make_admission
 
-__all__ = ["FogTopology", "FogUnavailable", "ChurnDriver"]
+__all__ = [
+    "Answer",
+    "ChurnDriver",
+    "FogTopology",
+    "FogUnavailable",
+    "LocalTransport",
+    "Router",
+    "retry_backoff_ms",
+]
 
 
 class FogUnavailable(Exception):
@@ -63,6 +81,46 @@ def _rendezvous_score(node_name: str, capability_slug: str) -> int:
     return int.from_bytes(digest[:8], "big")
 
 
+def _roster(nodes) -> List[str]:
+    """Node names from a count (``n0``, ``n1``, …) or explicit names."""
+    names = [f"n{i}" for i in range(nodes)] if isinstance(nodes, int) else [str(n) for n in nodes]
+    if not names:
+        raise ValueError("a fog needs at least one node")
+    if len(set(names)) != len(names):
+        raise ValueError(f"duplicate node names: {names}")
+    return names
+
+
+def retry_backoff_ms(
+    base_ms: float, attempt: int, token: str, cap_ms: float = 250.0
+) -> float:
+    """Jittered exponential retry delay, pure function of its arguments.
+
+    The jitter factor in ``[0.5, 1.5)`` derives from a sha256 of
+    ``(token, attempt)`` — deterministic for tests, decorrelated across
+    interests (the token is the interest URI), so a burst of failures
+    never retries in lockstep.
+    """
+    base = float(base_ms) * (2 ** int(attempt))
+    digest = hashlib.sha256(f"{token}|{attempt}".encode()).digest()
+    factor = 0.5 + int.from_bytes(digest[:8], "big") / 2**64
+    return min(float(cap_ms), base * factor)
+
+
+class Answer(NamedTuple):
+    """One node's answer to an interest."""
+
+    result: np.ndarray
+    #: ``"cache"`` (content store), ``"exec"`` (owner execution) or
+    #: ``"local"`` (the router's degradation rung).
+    source: str
+    #: The producer's recompute milliseconds, when it reported them.
+    cost: Optional[float] = None
+    #: The sha256 digest the result was verified against, when it crossed
+    #: a wire (in-process answers never leave trusted memory).
+    digest: Optional[str] = None
+
+
 class _Gate:
     """One in-flight interest's singleflight rendezvous point."""
 
@@ -74,15 +132,453 @@ class _Gate:
         self.error: Optional[BaseException] = None
 
 
-class FogTopology:
+class LocalTransport:
+    """The router's reach into in-process :class:`FogNode`\\ s.
+
+    A transport is the mechanism half of the fog: ``names`` (the roster),
+    ``routable(name)``, ``advertise(name, key)``, ``interest(...)`` →
+    :class:`Answer` or ``None``, ``carry(...)`` → accepted, and
+    ``remember(uri, answer)`` for whatever the transport keeps of
+    completed walks.  Here liveness is the ``alive`` flag, a dead node
+    declines (a stale route, not an error), and engine errors propagate.
+    """
+
+    def __init__(self, nodes: Sequence[FogNode]):
+        self.nodes: Dict[str, FogNode] = {n.name: n for n in nodes}
+        self.names = list(self.nodes)
+
+    def routable(self, name: str) -> bool:
+        return self.nodes[name].alive
+
+    def advertise(self, name: str, batch_key: Tuple) -> None:
+        self.nodes[name].advertise(batch_key)
+
+    def interest(
+        self,
+        name: str,
+        cname: ComputationName,
+        request: Request,
+        deadline: Optional[float],
+        hedged: bool = False,
+    ) -> Optional[Answer]:
+        try:
+            found = self.nodes[name].answer(cname, request)
+        except NodeDown:
+            return None
+        return None if found is None else Answer(*found)
+
+    def carry(self, name: str, cname: ComputationName, answer: Answer) -> bool:
+        self.nodes[name].carry(cname, answer.result, cost_ms=answer.cost)
+        return True
+
+    def remember(self, uri: str, answer: Answer) -> None:
+        """In-process nodes need no replay journal."""
+
+
+class Router:
+    """The fog's routing policy over one transport.
+
+    Owns rendezvous ownership, ingress round-robin, singleflight collapse,
+    the deadline budget, per-owner retries and hedging, reverse-path carry,
+    local degradation and the counters; reaches nodes only through
+    ``transport`` (see :class:`LocalTransport` for the interface).
+
+    Parameters:
+        transport: The node roster and how to reach it.
+        replicas: Owners per capability (rendezvous top-``replicas``).
+            2+ gives the reroute path somewhere to go when a primary dies.
+        metrics: Counter sink; counters are named ``{prefix}.*``.
+        prefix: Metric namespace (``"fog"`` in-process, ``"fabric"``).
+        retries / retry_backoff_base_ms: Extra attempts per owner and the
+            backoff base (jittered, clamped to the deadline budget).
+        hedge_ms: Race a duplicate interest to the next replica when an
+            owner is silent this long (``None`` disables hedging).
+        default_budget_ms: Deadline budget for requests that carry no
+            deadline (``None``: unbounded).
+        degrade_local: Execute in-process, counted, when no owner answers
+            instead of raising :class:`FogUnavailable`.
+        executor_opts: Options for the local degradation executor.
+    """
+
+    def __init__(
+        self,
+        transport,
+        replicas: int = 2,
+        metrics: Optional[Metrics] = None,
+        prefix: str = "fog",
+        retries: int = 0,
+        retry_backoff_base_ms: float = 10.0,
+        hedge_ms: Optional[float] = None,
+        default_budget_ms: Optional[float] = None,
+        degrade_local: bool = False,
+        executor_opts: Optional[dict] = None,
+    ):
+        if replicas < 1:
+            raise ValueError("replicas must be >= 1")
+        self.transport = transport
+        self.replicas = min(int(replicas), len(transport.names))
+        self.metrics = metrics if metrics is not None else METRICS
+        self.prefix = prefix
+        self.retries = int(retries)
+        self.retry_backoff_base_ms = float(retry_backoff_base_ms)
+        self.hedge_ms = None if hedge_ms is None else float(hedge_ms)
+        self.default_budget_ms = default_budget_ms
+        self.degrade_local = bool(degrade_local)
+        self.executor_opts = dict(executor_opts or {})
+        #: Capability -> owner names in rendezvous (fallback) order.
+        self._owners: Dict[Tuple, List[str]] = {}
+        #: Singleflight gates: in-flight interest URI -> rendezvous gate.
+        self._inflight: Dict[str, _Gate] = {}
+        self._lock = threading.Lock()
+        self._ingress_counter = 0
+        self._local: Optional[EngineExecutor] = None
+        self._hedge_pool = (
+            None
+            if self.hedge_ms is None
+            else ThreadPoolExecutor(
+                max_workers=max(2, 2 * len(transport.names)),
+                thread_name_prefix=f"{prefix}-hedge",
+            )
+        )
+        self.submitted = 0
+        self.completed = 0
+        self.collapsed = 0
+        self.cache_hits = 0
+        self.remote_execs = 0
+        self.forwards = 0
+        self.reroutes = 0
+        self.retries_used = 0
+        self.hedges = 0
+        self.hedge_wins = 0
+        self.degraded = 0
+        self.unavailable = 0
+
+    def _count(self, what: str, n: int = 1) -> None:
+        self.metrics.inc(f"{self.prefix}.{what}", n)
+
+    # ------------------------------------------------------------------
+    # Ownership + liveness
+    # ------------------------------------------------------------------
+    def owner_names(self, batch_key: Tuple) -> List[str]:
+        """The capability's owners, primary first (lazily assigned).
+
+        Assignment is rendezvous hashing over the *whole* roster — dead
+        nodes included — so the owner list is a pure function of the
+        roster and the capability, never of crash history: a node that
+        crashes and revives owns exactly what it owned before.
+        """
+        with self._lock:
+            owners = self._owners.get(batch_key)
+        if owners is None:
+            slug = _slug(batch_key)
+            ranked = sorted(
+                self.transport.names,
+                key=lambda n: _rendezvous_score(n, slug),
+                reverse=True,
+            )
+            owners = ranked[: self.replicas]
+            for name in owners:
+                self.transport.advertise(name, batch_key)
+            with self._lock:
+                self._owners[batch_key] = owners
+            self._count("capabilities_assigned")
+        return owners
+
+    owners = owner_names
+
+    def routable(self, name: str) -> bool:
+        """May an interest be sent to this node right now?"""
+        return self.transport.routable(name)
+
+    def _next_ingress(self) -> Optional[str]:
+        """Round-robin over routable nodes (any edge node takes traffic)."""
+        candidates = [n for n in self.transport.names if self.transport.routable(n)]
+        if not candidates:
+            self._count("no_ingress")
+            return None
+        name = candidates[self._ingress_counter % len(candidates)]
+        self._ingress_counter += 1
+        return name
+
+    # ------------------------------------------------------------------
+    # Submission: singleflight over the walk
+    # ------------------------------------------------------------------
+    def submit(
+        self,
+        request: Request,
+        ingress: Optional[str] = None,
+        budget_ms: Optional[float] = None,
+    ) -> np.ndarray:
+        """Route one named computation through the fog; return its result.
+
+        ``ingress`` pins the entry node (default: round-robin).  The
+        deadline budget is ``budget_ms``, else the request's own deadline,
+        else ``default_budget_ms``.
+
+        Duplicate in-flight interests for the same name **collapse**
+        (NFN interest aggregation): the first becomes the leader and walks
+        the fog; the rest wait on its gate, counted in ``collapsed``.  A
+        collapsed waiter honors its own deadline, and if the leader fails
+        it walks again as leader with whatever budget it has left.
+
+        Raises :class:`DeadlineExceeded` (budget spent),
+        :class:`FogUnavailable` (no owner reachable, degradation off), or
+        whatever the executing engine raised — rejected, never wrong.
+        """
+        self.submitted += 1
+        self._count("submitted")
+        t0 = time.monotonic()
+        deadline = request.deadline_s
+        if budget_ms is None and deadline is None:
+            budget_ms = self.default_budget_ms
+        if budget_ms is not None:
+            deadline = t0 + max(0.0, float(budget_ms)) / 1e3
+        name = name_request(request)
+        uri = name.uri()
+        while True:
+            with self._lock:
+                gate = self._inflight.get(uri)
+                leading = gate is None
+                if leading:
+                    gate = self._inflight[uri] = _Gate()
+            if leading:
+                try:
+                    entry = ingress if ingress is not None else self._next_ingress()
+                    with TRACER.span(f"{self.prefix}.submit", interest=uri, ingress=entry):
+                        answer = self._walk(name, request, entry, deadline)
+                    self.transport.remember(uri, answer)
+                    result = gate.result = answer.result
+                except BaseException as err:
+                    gate.error = err
+                    raise
+                finally:
+                    with self._lock:
+                        self._inflight.pop(uri, None)
+                    gate.event.set()
+            else:
+                self.collapsed += 1
+                self._count("collapsed")
+                remaining_s = None if deadline is None else deadline - time.monotonic()
+                if (remaining_s is not None and remaining_s <= 0) or not gate.event.wait(remaining_s):
+                    self._count("deadline_exhausted")
+                    raise DeadlineExceeded(f"deadline passed waiting on collapsed interest {uri}")
+                if gate.error is not None:
+                    continue  # leader failed: walk it ourselves
+                result = gate.result
+            self.completed += 1
+            self._count("completed")
+            self.metrics.observe(f"{self.prefix}.submit_s", time.monotonic() - t0)
+            return result
+
+    # ------------------------------------------------------------------
+    # The walk
+    # ------------------------------------------------------------------
+    @staticmethod
+    def _remaining_ms(deadline: Optional[float]) -> float:
+        return math.inf if deadline is None else (deadline - time.monotonic()) * 1e3
+
+    def _walk(
+        self,
+        name: ComputationName,
+        request: Request,
+        entry: Optional[str],
+        deadline: Optional[float],
+    ) -> Answer:
+        key = request.batch_key()
+        owners = self.owner_names(key)
+        primary = owners[0]
+        transport = self.transport
+        # Hop 1 — the ingress edge node: cache answer or owner execution.
+        path: List[str] = []
+        if entry is not None and self._remaining_ms(deadline) > 0:
+            answer = transport.interest(entry, name, request, deadline)
+            if answer is not None:
+                return self._counted(answer)
+            path.append(entry)
+        # Hop 2..n — the owners in rendezvous order, skipping whoever was
+        # already asked, each with its retry budget.
+        for idx, owner in enumerate(owners):
+            if owner in path or not transport.routable(owner):
+                continue
+            if self._remaining_ms(deadline) <= 0:
+                break
+            if path:
+                self.forwards += 1
+                self._count("forwards")
+                self._count(f"node.{path[-1]}.forwards")
+            # A reroute is a forward that had to skip the rendezvous
+            # primary — it is down, or it was already asked and failed.
+            if owner != primary and (primary in path or not transport.routable(primary)):
+                self.reroutes += 1
+                self._count("reroutes")
+                self._count(f"node.{owner}.reroutes_absorbed")
+            hedge_to = None
+            if self.hedge_ms is not None:
+                hedge_to = next(
+                    (n for n in owners[idx + 1 :] if n not in path and transport.routable(n)),
+                    None,
+                )
+            answer = self._ask_owner(owner, name, request, deadline, hedge_to)
+            if answer is not None:
+                # Reverse-path caching: the answer rides back to the
+                # ingress so repeated interests hit where they enter.
+                if entry is not None and transport.routable(entry):
+                    if transport.carry(entry, name, answer):
+                        self._count("repopulations")
+                return self._counted(answer)
+            path.append(owner)
+        if self._remaining_ms(deadline) <= 0:
+            self._count("deadline_exhausted")
+            raise DeadlineExceeded(f"deadline budget spent routing {name.uri()} (tried {sorted(path)})")
+        # Degradation ladder, last rung: every owner unreachable — serve
+        # the request locally (counted) rather than serving nothing.
+        if self.degrade_local:
+            return self._execute_local(request)
+        self.unavailable += 1
+        self._count("unavailable")
+        uri = name.uri()
+        raise FogUnavailable(f"no reachable owner for {_slug(key)} (interest {uri})", name=uri)
+
+    def _counted(self, answer: Answer) -> Answer:
+        if answer.source == "cache":
+            self.cache_hits += 1
+            self._count("cache_hits")
+        else:
+            self.remote_execs += 1
+            self._count("remote_execs")
+        return answer
+
+    def _ask_owner(
+        self,
+        owner: str,
+        name: ComputationName,
+        request: Request,
+        deadline: Optional[float],
+        hedge_to: Optional[str],
+    ) -> Optional[Answer]:
+        """One owner, up to ``retries`` extra attempts; ``None`` if it fails."""
+        for attempt in range(self.retries + 1):
+            remaining = self._remaining_ms(deadline)
+            if remaining <= 0:
+                return None
+            if attempt > 0:
+                # Never sleep (or retry) past the deadline budget.
+                delay = min(retry_backoff_ms(self.retry_backoff_base_ms, attempt - 1, name.uri()), remaining)
+                time.sleep(delay / 1e3)
+                if self._remaining_ms(deadline) <= 0:
+                    return None
+                self.retries_used += 1
+                self._count("retries")
+            if hedge_to is not None:
+                answer = self._hedged(owner, hedge_to, name, request, deadline)
+            else:
+                answer = self.transport.interest(owner, name, request, deadline)
+            if answer is not None:
+                return answer
+            if not self.transport.routable(owner):
+                return None  # gone (or breaker tripped) mid-attempts: move on
+        return None
+
+    def _hedged(
+        self,
+        primary: str,
+        secondary: str,
+        name: ComputationName,
+        request: Request,
+        deadline: Optional[float],
+    ) -> Optional[Answer]:
+        """Race the primary against a delayed duplicate on the secondary.
+
+        First good answer wins; content-addressed results make the
+        duplicate harmless (both compute the same bytes).
+        """
+
+        def leg(node: str) -> Optional[Answer]:
+            return self.transport.interest(node, name, request, deadline, hedged=True)
+
+        futures = {self._hedge_pool.submit(leg, primary): primary}
+        hedged = False
+        while futures:
+            remaining_s = self._remaining_ms(deadline) / 1e3
+            if remaining_s <= 0:
+                break
+            wait_s = remaining_s if hedged else min(remaining_s, self.hedge_ms / 1e3)
+            done, _ = wait(futures, timeout=wait_s, return_when=FIRST_COMPLETED)
+            for fut in done:
+                node = futures.pop(fut)
+                answer = fut.result()
+                if answer is not None:
+                    if hedged and node == secondary:
+                        self.hedge_wins += 1
+                        self._count("hedge_wins")
+                    return answer
+            if not done and not hedged:
+                hedged = True
+                self.hedges += 1
+                self._count("hedges")
+                futures[self._hedge_pool.submit(leg, secondary)] = secondary
+        return None
+
+    def _execute_local(self, request: Request) -> Answer:
+        """The degradation rung: in-process execution, counted, byte-exact."""
+        with self._lock:
+            if self._local is None:
+                opts = dict(self.executor_opts)
+                opts.setdefault("metrics", self.metrics)
+                self._local = EngineExecutor(**opts)
+            local = self._local
+        started = time.perf_counter()
+        result = local.execute(request.batch_key(), [request])[0]
+        if isinstance(result, Exception):
+            raise result
+        cost_ms = (time.perf_counter() - started) * 1e3
+        self.degraded += 1
+        self._count("degraded_local")
+        result = np.asarray(result)
+        return Answer(result, "local", cost_ms, array_digest(result))
+
+    # ------------------------------------------------------------------
+    # Lifecycle + observability
+    # ------------------------------------------------------------------
+    def close(self) -> None:
+        if self._hedge_pool is not None:
+            self._hedge_pool.shutdown(wait=False, cancel_futures=True)
+        with self._lock:
+            if self._local is not None:
+                self._local.close()
+                self._local = None
+
+    def stats(self) -> Dict[str, object]:
+        """Counters common to every deployment."""
+        return {
+            "replicas": self.replicas,
+            "submitted": self.submitted,
+            "completed": self.completed,
+            "collapsed": self.collapsed,
+            "cache_hits": self.cache_hits,
+            "unavailable": self.unavailable,
+            "capabilities": {_slug(key): list(owners) for key, owners in self._owners.items()},
+        }
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.close()
+        return False
+
+
+class FogTopology(Router):
     """An in-process fog of edge nodes routing named computations.
+
+    The :class:`Router` over a :class:`LocalTransport`: requests without a
+    deadline get no budget, and nothing degrades locally — when every
+    owner is down the interest is rejected with :class:`FogUnavailable`.
 
     Parameters:
         nodes: Node count, or explicit node names.
         replicas: Owners per capability (rendezvous top-``replicas``).
-            2+ gives the reroute path somewhere to go when a primary dies.
         capacity_bytes: Per-node content-store budget.
-        max_hops: Forwarding budget per interest (ingress hop included).
         executor_opts: Keyword arguments for each node's
             :class:`~repro.serve.executor.EngineExecutor` (e.g. ``workers``).
         store_policy: Content-store admission policy per node: ``"lru"``
@@ -96,27 +592,15 @@ class FogTopology:
         nodes: int = 4,
         replicas: int = 2,
         capacity_bytes: int = 16 << 20,
-        max_hops: int = 8,
         metrics: Optional[Metrics] = None,
         executor_opts: Optional[dict] = None,
         store_policy: str = "lru",
         store_reverify: int = 1,
     ):
-        if isinstance(nodes, int):
-            if nodes < 1:
-                raise ValueError("a fog needs at least one node")
-            names = [f"n{i}" for i in range(nodes)]
-        else:
-            names = [str(n) for n in nodes]
-            if not names:
-                raise ValueError("a fog needs at least one node")
-        if len(set(names)) != len(names):
-            raise ValueError(f"duplicate node names: {names}")
-        if replicas < 1:
-            raise ValueError("replicas must be >= 1")
-        self.metrics = metrics if metrics is not None else METRICS
+        names = _roster(nodes)
+        metrics = metrics if metrics is not None else METRICS
         opts = dict(executor_opts or {})
-        opts.setdefault("metrics", self.metrics)
+        opts.setdefault("metrics", metrics)
         self.nodes: List[FogNode] = [
             FogNode(
                 name,
@@ -126,213 +610,32 @@ class FogTopology:
                     admission=make_admission(store_policy),
                     reverify_every=store_reverify,
                 ),
-                metrics=self.metrics,
+                metrics=metrics,
             )
             for name in names
         ]
-        self._by_name: Dict[str, FogNode] = {n.name: n for n in self.nodes}
-        self.replicas = min(int(replicas), len(self.nodes))
-        self.max_hops = int(max_hops)
-        #: Capability -> owner nodes in rendezvous (fallback) order.
-        self._owners: Dict[Tuple, List[FogNode]] = {}
-        self._ingress_counter = 0
-        #: Singleflight gates: in-flight interest URI -> rendezvous gate.
-        self._inflight: Dict[str, "_Gate"] = {}
-        self._sf_lock = threading.Lock()
-        self.submitted = 0
-        self.completed = 0
-        self.collapsed = 0
-        self.cache_hits = 0
-        self.forwards = 0
-        self.reroutes = 0
-        self.unavailable = 0
+        super().__init__(LocalTransport(self.nodes), replicas=replicas, metrics=metrics)
 
     # ------------------------------------------------------------------
     # Membership
     # ------------------------------------------------------------------
     def node(self, name: str) -> FogNode:
-        return self._by_name[name]
+        return self.transport.nodes[name]
 
     def alive_nodes(self) -> List[FogNode]:
         return [n for n in self.nodes if n.alive]
 
     def crash(self, name: str) -> None:
         """Take a node down (volatile content store is lost with it)."""
-        self._by_name[name].crash()
+        self.node(name).crash()
 
     def revive(self, name: str) -> None:
         """Bring a node back, empty-handed: its caches refill from traffic."""
-        self._by_name[name].revive()
+        self.node(name).revive()
 
-    # ------------------------------------------------------------------
-    # Routing
-    # ------------------------------------------------------------------
     def owners(self, batch_key: Tuple) -> List[FogNode]:
-        """The capability's owner nodes, primary first (lazily assigned).
-
-        Assignment is rendezvous hashing over *all* nodes — dead ones
-        included — so the owner list is a pure function of the membership
-        roster and the capability, never of crash history.  A node that
-        crashes and revives owns exactly what it owned before.
-        """
-        owners = self._owners.get(batch_key)
-        if owners is None:
-            slug = _slug(batch_key)
-            ranked = sorted(
-                self.nodes,
-                key=lambda n: _rendezvous_score(n.name, slug),
-                reverse=True,
-            )
-            owners = ranked[: self.replicas]
-            for node in owners:
-                node.advertise(batch_key)
-            self._owners[batch_key] = owners
-            self.metrics.inc("fog.capabilities_assigned")
-        return owners
-
-    def live_owners(self, batch_key: Tuple, visited=()) -> List[FogNode]:
-        """Owners currently worth forwarding to, in rendezvous order.
-
-        The topology's liveness view is the ``alive`` flag; subclasses and
-        the cross-process fabric substitute a *measured* verdict here
-        (heartbeat failure detector + circuit breaker) without touching
-        the walk itself.
-        """
-        visited = set(visited)
-        return [
-            owner
-            for owner in self.owners(batch_key)
-            if owner.alive and owner.name not in visited
-        ]
-
-    def _ingress(self) -> FogNode:
-        """Round-robin over alive nodes (any edge node can take traffic)."""
-        alive = self.alive_nodes()
-        if not alive:
-            raise FogUnavailable("every node in the fog is down")
-        node = alive[self._ingress_counter % len(alive)]
-        self._ingress_counter += 1
-        return node
-
-    # ------------------------------------------------------------------
-    # The NFN request walk
-    # ------------------------------------------------------------------
-    def submit(self, request: Request, ingress: Optional[str] = None) -> np.ndarray:
-        """Route one named computation through the fog and return its result.
-
-        Duplicate in-flight interests for the same name **collapse**
-        (NFN interest aggregation): concurrent submitters of an already
-        in-flight URI wait on the leader's gate instead of walking the
-        fog again, counted in ``collapsed``.  A collapsed waiter still
-        honors its own ``deadline_s`` while waiting, and retries as
-        leader if the first walk fails.
-
-        Raises :class:`FogUnavailable` when no alive node can serve it
-        (rejected, not wrong), or whatever the executing engine raised.
-        """
-        self.submitted += 1
-        self.metrics.inc("fog.submitted")
-        name = name_request(request)
-        uri = name.uri()
-        while True:
-            with self._sf_lock:
-                gate = self._inflight.get(uri)
-                leading = gate is None
-                if leading:
-                    gate = self._inflight[uri] = _Gate()
-            if leading:
-                try:
-                    entry = (
-                        self._by_name[ingress]
-                        if ingress is not None
-                        else self._ingress()
-                    )
-                    with TRACER.span(
-                        "fog.submit", interest=uri, ingress=entry.name
-                    ):
-                        result = self._walk(name, request, entry)
-                    gate.result = result
-                except BaseException as err:
-                    gate.error = err
-                    raise
-                finally:
-                    with self._sf_lock:
-                        self._inflight.pop(uri, None)
-                    gate.event.set()
-            else:
-                self.collapsed += 1
-                self.metrics.inc("fog.collapsed")
-                timeout = None
-                if request.deadline_s is not None:
-                    timeout = max(0.0, request.deadline_s - time.monotonic())
-                if not gate.event.wait(timeout):
-                    raise DeadlineExceeded(
-                        f"deadline passed waiting on collapsed interest {uri}"
-                    )
-                if gate.error is not None:
-                    continue  # leader failed: walk it ourselves
-                result = gate.result
-            self.completed += 1
-            self.metrics.inc("fog.completed")
-            return result
-
-    def _walk(self, name: ComputationName, request: Request, entry: FogNode) -> np.ndarray:
-        key = request.batch_key()
-        path: List[FogNode] = []
-        node = entry
-        hops = 0
-        while True:
-            if hops > self.max_hops:
-                self.unavailable += 1
-                self.metrics.inc("fog.unavailable")
-                raise FogUnavailable(
-                    f"hop budget {self.max_hops} exhausted for {name.uri()}",
-                    name=name.uri(),
-                )
-            try:
-                cached = node.lookup(name)
-                if cached is not None:
-                    self.cache_hits += 1
-                    self.metrics.inc("fog.cache_hits")
-                    self._repopulate(path, name, cached)
-                    return cached
-                if node.serves(key):
-                    result = node.execute(request)
-                    self._repopulate(path, name, result)
-                    return result
-            except NodeDown:
-                pass  # stale route: fall through to the next candidate
-            # Forward: this node can't serve the name — send the interest
-            # to the capability's owners, skipping nodes already visited.
-            path.append(node)
-            visited = {n.name for n in path}
-            candidates = self.live_owners(key, visited)
-            if not candidates:
-                self.unavailable += 1
-                self.metrics.inc("fog.unavailable")
-                raise FogUnavailable(
-                    f"no alive owner for {_slug(key)} (interest {name.uri()})",
-                    name=name.uri(),
-                )
-            # A reroute is a forward that had to skip the rendezvous
-            # primary — it is down, or it was the dead node just left.
-            primary = self.owners(key)[0]
-            node = candidates[0]
-            if node is not primary and (not primary.alive or primary.name in visited):
-                self.reroutes += 1
-                self.metrics.inc("fog.reroutes")
-                self.metrics.inc(f"fog.node.{node.name}.reroutes_absorbed")
-            hops += 1
-            self.forwards += 1
-            self.metrics.inc("fog.forwards")
-            self.metrics.inc(f"fog.node.{path[-1].name}.forwards")
-
-    def _repopulate(self, path: Sequence[FogNode], name: ComputationName, result: np.ndarray) -> None:
-        """On-path caching: the result rides the reverse path to the ingress."""
-        for node in path:
-            if node.alive:
-                node.carry(name, result)
-                self.metrics.inc("fog.repopulations")
+        """The capability's owner nodes, primary first (see :meth:`owner_names`)."""
+        return [self.node(n) for n in self.owner_names(batch_key)]
 
     # ------------------------------------------------------------------
     # Lifecycle + observability
@@ -340,6 +643,7 @@ class FogTopology:
     def close(self) -> None:
         for node in self.nodes:
             node.close()
+        super().close()
 
     def restart(self) -> None:
         for node in self.nodes:
@@ -349,26 +653,10 @@ class FogTopology:
         return {
             "nodes": {n.name: n.stats() for n in self.nodes},
             "alive": len(self.alive_nodes()),
-            "replicas": self.replicas,
-            "submitted": self.submitted,
-            "completed": self.completed,
-            "collapsed": self.collapsed,
-            "cache_hits": self.cache_hits,
+            **super().stats(),
             "forwards": self.forwards,
             "reroutes": self.reroutes,
-            "unavailable": self.unavailable,
-            "capabilities": {
-                _slug(key): [n.name for n in owners]
-                for key, owners in self._owners.items()
-            },
         }
-
-    def __enter__(self):
-        return self
-
-    def __exit__(self, *exc):
-        self.close()
-        return False
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,6 @@ Failure: ``{"id", "ok": false, "error": <code>, "message", and
 
 from __future__ import annotations
 
-import base64
 import json
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
@@ -50,7 +49,6 @@ __all__ = [
     "decode_line",
     "ok_response",
     "error_response",
-    "encode_array",
     "decode_array",
     "request_to_wire",
     "request_from_wire",
@@ -250,83 +248,48 @@ def error_response(
 # ----------------------------------------------------------------------
 # Fabric wire format: arrays, requests and frames between fog peers
 # ----------------------------------------------------------------------
-# The cross-process fabric (:mod:`repro.fog.fabric`) reuses this module's
-# NDJSON line codec but carries tensors as base64 raw bytes plus dtype and
-# shape instead of JSON number lists: the bytes that leave one process are
-# exactly the bytes that arrive in the other, so the fog's byte-identity
-# contract survives the socket with no float round-trip argument needed.
-
-def encode_array(arr: np.ndarray) -> dict:
-    """A JSON-able ``{dtype, shape, data}`` triple carrying exact bytes."""
-    a = np.ascontiguousarray(arr)
-    return {
-        "dtype": str(a.dtype),
-        "shape": list(a.shape),
-        "data": base64.b64encode(a.tobytes()).decode("ascii"),
-    }
-
+# The cross-process fabric (:mod:`repro.fog.fabric`) carries tensors as raw
+# ``ndarray`` values that :func:`repro.fog.frames.pack_frame` lifts into the
+# frame's binary body: the bytes that leave one process are exactly the
+# bytes that arrive in the other, so the fog's byte-identity contract
+# survives the socket with no float round-trip argument needed.
 
 def decode_array(obj) -> np.ndarray:
-    """Inverse of :func:`encode_array`; raises :class:`ProtocolError`.
+    """A private copy of one received array field; raises :class:`ProtocolError`.
 
-    An ``ndarray`` passes straight through (as a copy): the binary frame
-    codec (:mod:`repro.fog.frames`) restores arrays before a frame
-    reaches any handler, so fabric code decoding a response field works
-    identically on legacy base64 frames and binary frames.
+    The binary frame codec (:mod:`repro.fog.frames`) restores arrays
+    before a frame reaches any handler, so anything else where an array
+    belongs (a JSON object, a list) is a malformed frame.
     """
-    if isinstance(obj, np.ndarray):
-        if obj.dtype.hasobject:
-            raise ProtocolError("object dtypes cannot cross the wire")
-        if obj.size > MAX_ELEMENTS:
-            raise ProtocolError(
-                f"array has {obj.size} elements (limit {MAX_ELEMENTS})",
-                code="too_large",
-            )
-        return np.array(obj, copy=True)
-    if not isinstance(obj, dict):
-        raise ProtocolError("array field must be a {dtype, shape, data} object")
-    try:
-        dtype = np.dtype(str(obj["dtype"]))
-        shape = tuple(int(n) for n in obj["shape"])
-        raw = base64.b64decode(str(obj["data"]).encode("ascii"), validate=True)
-    except KeyError as err:
-        raise ProtocolError(f"array object missing field {err}")
-    except (TypeError, ValueError) as err:
-        raise ProtocolError(f"malformed array object: {err}")
-    count = 1
-    for n in shape:
-        if n < 0:
-            raise ProtocolError(f"negative dimension in shape {shape}")
-        count *= n
-    if count > MAX_ELEMENTS:
+    if not isinstance(obj, np.ndarray):
+        raise ProtocolError(f"array field must be a binary array, got {type(obj).__name__}")
+    if obj.dtype.hasobject:
+        raise ProtocolError("object dtypes cannot cross the wire")
+    if obj.size > MAX_ELEMENTS:
         raise ProtocolError(
-            f"array has {count} elements (limit {MAX_ELEMENTS})", code="too_large"
+            f"array has {obj.size} elements (limit {MAX_ELEMENTS})",
+            code="too_large",
         )
-    if len(raw) != count * dtype.itemsize:
-        raise ProtocolError(
-            f"array payload is {len(raw)} bytes, expected {count * dtype.itemsize}"
-        )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return np.array(obj, copy=True)
 
 
-#: Request fields that cross the fabric wire verbatim (arrays travel as
-#: :func:`encode_array` objects; server bookkeeping stays home).
+#: Request fields that cross the fabric wire verbatim (arrays travel raw in
+#: the frame's binary body; server bookkeeping stays home).
 _WIRE_SCALARS = ("id", "workload", "tenant", "bits", "es", "model", "mult", "rows")
 
 
-def request_to_wire(req: Request, binary: bool = False) -> dict:
-    """A validated :class:`Request` as a JSON-able fabric payload.
+def request_to_wire(req: Request) -> dict:
+    """A validated :class:`Request` as a fabric payload.
 
-    With ``binary=True`` arrays stay raw ``ndarray`` values for
+    Arrays stay raw ``ndarray`` values for
     :func:`repro.fog.frames.pack_frame` to lift into the frame's binary
-    body — no base64, no +33% wire bytes; without it they become
-    :func:`encode_array` objects and the payload is plain JSON.
+    body — no base64, no +33% wire bytes.
     """
     out = {name: getattr(req, name) for name in _WIRE_SCALARS}
     for name in ("a", "b", "x"):
         arr = getattr(req, name)
         if arr is not None:
-            out[name] = np.ascontiguousarray(arr) if binary else encode_array(arr)
+            out[name] = np.ascontiguousarray(arr)
     return out
 
 
@@ -359,15 +322,12 @@ def request_from_wire(obj: dict) -> Request:
     return req
 
 
-def interest_frame(
-    req: Request, budget_ms: Optional[float] = None, binary: bool = False
-) -> dict:
+def interest_frame(req: Request, budget_ms: Optional[float] = None) -> dict:
     """One fabric interest: a named computation plus its remaining deadline
     budget in milliseconds.  The budget is decremented by every hop and
     retry on the sending side — a peer that receives a spent budget must
-    answer ``deadline`` without executing, never work past it.
-    ``binary=True`` leaves operand arrays raw for the binary frame codec."""
-    frame = {"op": "interest", "request": request_to_wire(req, binary=binary)}
+    answer ``deadline`` without executing, never work past it."""
+    frame = {"op": "interest", "request": request_to_wire(req)}
     if budget_ms is not None:
         frame["budget_ms"] = round(float(budget_ms), 3)
     return frame
@@ -383,7 +343,6 @@ def carry_frame(
     result: np.ndarray,
     digest: str,
     cost: Optional[float] = None,
-    binary: bool = False,
 ) -> dict:
     """On-path cache repopulation: a result and its pinned sha256 digest.
 
@@ -391,13 +350,12 @@ def carry_frame(
     the entry on mismatch — the same integrity posture the content store
     applies on every read.  ``cost`` (recompute milliseconds, when the
     producer measured it) travels along so the receiving store's
-    admission policy can weigh the entry; ``binary=True`` leaves the
-    result raw for the binary frame codec.
+    admission policy can weigh the entry.
     """
     frame = {
         "op": "carry",
         "name": str(name_uri),
-        "result": np.ascontiguousarray(result) if binary else encode_array(result),
+        "result": np.ascontiguousarray(result),
         "digest": str(digest),
     }
     if cost is not None:

@@ -22,7 +22,14 @@ import pytest
 
 from repro.engine.observe import Metrics
 from repro.engine.registry import array_digest
-from repro.fog import CircuitBreaker, FogFabric, FogUnavailable, name_request
+from repro.fog import (
+    CircuitBreaker,
+    FogFabric,
+    FogUnavailable,
+    FrameAssembler,
+    name_request,
+    pack_frame,
+)
 from repro.fog.fabric import retry_backoff_ms
 from repro.fog.node import FogNode
 from repro.fog.peer import _NodeServer
@@ -31,7 +38,6 @@ from repro.serve.executor import DeadlineExceeded, EngineExecutor
 from repro.serve.protocol import (
     Request,
     decode_array,
-    encode_array,
     interest_frame,
     request_from_wire,
     request_to_wire,
@@ -198,7 +204,9 @@ class TestWireFormat:
             rng.integers(-100, 100, size=(5,), dtype=np.int64),
             np.array([np.nan, np.inf, -0.0]),
         ):
-            back = decode_array(encode_array(arr))
+            assembler = FrameAssembler()
+            assembler.feed(pack_frame({"op": "carry", "result": arr}))
+            back = decode_array(assembler.next_frame()["result"])
             assert back.dtype == arr.dtype and back.shape == arr.shape
             assert back.tobytes() == arr.tobytes()
 
@@ -287,8 +295,14 @@ class TestNodeServer:
 
     def test_unknown_op_is_a_bad_request(self):
         _, server = self.make()
-        resp = server.handle({"op": "nonsense"})
-        assert not resp["ok"] and resp["error"] == "bad_request"
+        req = matmul_request("b6", [[1.0, 2.0]], [[3.0], [4.0]])
+        interest = interest_frame(req, budget_ms=1000.0)
+        # A dict where an array belongs (a base64 {dtype, shape, data}
+        # object) is a malformed frame, rejected with ProtocolError's code.
+        interest["request"]["a"] = {"dtype": "float64", "shape": [1, 2], "data": ""}
+        for frame in ({"op": "nonsense"}, interest):
+            resp = server.handle(frame)
+            assert not resp["ok"] and resp["error"] == "bad_request", frame
 
 
 # ----------------------------------------------------------------------
@@ -420,7 +434,7 @@ class TestPipelinedTransport:
         def fire(i):
             barrier.wait()
             results[i] = client.call(
-                interest_frame(reqs[i], budget_ms=30000.0, binary=True),
+                interest_frame(reqs[i], budget_ms=30000.0),
                 timeout_s=30.0,
             )
 
@@ -452,7 +466,7 @@ class TestPipelinedTransport:
         client = fabric.supervisor.client("n1")
         req = matmul_request("bin0", [[1.0, 2.0]], [[3.0], [4.0]])
         client.call({"op": "advertise", "batch_key": list(req.batch_key())})
-        resp = client.call(interest_frame(req, budget_ms=30000.0, binary=True))
+        resp = client.call(interest_frame(req, budget_ms=30000.0))
         assert resp["ok"]
         assert isinstance(resp["result"], np.ndarray), (
             "binary framing must restore ndarrays at the assembler, "
@@ -473,10 +487,10 @@ class TestPipelinedTransport:
         from repro.fog import PeerError
 
         with pytest.raises(PeerError):
-            # A zero wait cannot beat even a loopback round trip, so the
-            # timeout is deterministic.
+            # A zero wait is decided before the send, so the timeout is
+            # deterministic.
             client.call(
-                interest_frame(req, budget_ms=30000.0, binary=True),
+                interest_frame(req, budget_ms=30000.0),
                 timeout_s=0.0,
             )
         resp = client.call({"op": "stats"}, timeout_s=30.0)
@@ -485,6 +499,58 @@ class TestPipelinedTransport:
             "a slow peer response must not cost a reconnect"
         )
         assert client.pending() == 0
+
+    def test_late_response_is_orphaned_on_a_live_connection(self):
+        """Rid abandonment, deterministically: an in-test peer answers the
+        first request only after its caller has timed out.  The late
+        answer is discarded as an orphan, the connection survives and no
+        waiter is left pending."""
+        import socket
+        import threading
+
+        from repro.fog import PeerClient, PeerError
+
+        timed_out = threading.Event()
+        listener = socket.create_server(("127.0.0.1", 0))
+
+        def peer():
+            conn, _ = listener.accept()
+            with conn:
+                assembler = FrameAssembler()
+                held = True
+                while True:
+                    frame = assembler.next_frame()
+                    if frame is None:
+                        chunk = conn.recv(1 << 16)
+                        if not chunk:
+                            return
+                        assembler.feed(chunk)
+                        continue
+                    if held:  # answer the first request only once it is abandoned
+                        timed_out.wait(30.0)
+                        held = False
+                    conn.sendall(pack_frame({"ok": True, "rid": frame["rid"]}))
+
+        thread = threading.Thread(target=peer, daemon=True)
+        thread.start()
+        metrics = Metrics()
+        client = PeerClient("late", listener.getsockname(), metrics=metrics)
+        try:
+            with pytest.raises(PeerError):
+                client.call({"op": "stats"}, timeout_s=0.05)
+            gen_before = client._generation
+            timed_out.set()
+            # The peer answers in order, so by the time this call returns
+            # the late answer has reached the demux.
+            assert client.call({"op": "stats"}, timeout_s=30.0)["ok"]
+            assert client._generation == gen_before
+            assert client.pending() == 0
+            assert metrics.counters.get("fabric.peer.orphan_responses") == 1
+            assert metrics.counters.get("fabric.peer.call_timeouts") == 1
+        finally:
+            client.close()
+            listener.close()
+            thread.join(10.0)
 
 
 # ----------------------------------------------------------------------
@@ -532,31 +598,56 @@ class TestSingleflight:
         )
 
     def test_topology_collapses_duplicates_too(self):
-        """The in-process topology honors the same singleflight contract."""
+        """The in-process router honors the same singleflight contract,
+        deterministically: the leader's interest is held until every
+        follower has attached to its gate, then released."""
         import threading
 
-        from repro.fog import FogTopology
+        from repro.fog.topology import LocalTransport, Router
 
-        rng = np.random.default_rng(77)
-        a, b = rng.normal(size=(48, 48)), rng.normal(size=(48, 48))
+        class HeldTransport(LocalTransport):
+            def __init__(self, nodes, release):
+                super().__init__(nodes)
+                self.release = release
+
+            def interest(self, *args, **kwargs):
+                assert self.release.wait(60.0), "leader never released"
+                return super().interest(*args, **kwargs)
+
         metrics = Metrics()
+        nodes = [
+            FogNode(f"n{i}", executor=EngineExecutor(metrics=metrics), metrics=metrics)
+            for i in range(3)
+        ]
+        release = threading.Event()
+        router = Router(HeldTransport(nodes, release), replicas=2, metrics=metrics)
         n = 6
-        with FogTopology(nodes=3, replicas=2, metrics=metrics) as topo:
-            results = [None] * n
-            barrier = threading.Barrier(n)
+        results = [None] * n
+        errors = [None] * n
 
-            def fire(i):
-                barrier.wait()
-                results[i] = topo.submit(matmul_request(f"tsf{i}", a, b))
+        def fire(i):
+            try:
+                req = matmul_request(f"tsf{i}", [[1.0, 2.0]], [[3.0], [4.0]])
+                results[i] = router.submit(req)
+            except Exception as err:  # noqa: BLE001 — surfaced below
+                errors[i] = err
 
-            threads = [
-                threading.Thread(target=fire, args=(i,)) for i in range(n)
-            ]
+        threads = [threading.Thread(target=fire, args=(i,)) for i in range(n)]
+        try:
             for t in threads:
                 t.start()
+            deadline = time.monotonic() + 60.0
+            while router.collapsed < n - 1 and time.monotonic() < deadline:
+                time.sleep(0.001)
+            release.set()
             for t in threads:
                 t.join(60.0)
-            baseline = results[0].tobytes()
-            assert all(r is not None and r.tobytes() == baseline for r in results)
-            assert topo.stats()["collapsed"] >= 1
-            assert metrics.counters.get("fog.collapsed", 0) >= 1
+        finally:
+            release.set()
+            for node in nodes:
+                node.close()
+        assert all(e is None for e in errors), f"singleflight errors: {errors}"
+        assert all(r is not None and r.tobytes() == results[0].tobytes() for r in results)
+        assert router.collapsed == n - 1
+        assert metrics.counters.get("fog.collapsed") == n - 1
+        assert sum(node.executions for node in nodes) == 1, "one execution for one name"
