@@ -24,6 +24,11 @@ the machine-normalized **speedup** ratios instead:
   plan or shared-memory workers) over the unfused PR 1 engine path in the
   same run.  Enforced only when ``bar_asserted`` is true (>= 4-CPU host),
   mirroring the benchmark's own >= 5x assertion gate.
+* ``BENCH_fused.json``: ``fused_stable_single_speedup`` = the fused plan
+  over the unfused network, both single-process with
+  ``stable_contractions=True`` at posit<8,2> (the serve configuration).
+  Always enforced: a same-process, same-host ratio, meaningful on any
+  CPU count.
 * ``BENCH_fog.json``: ``hit_rate`` = cached replays over total submissions
   after repeated passes of a fixed working set.  Deterministic (seeded
   traffic, rendezvous routing), so it is always enforced — a drop means
@@ -58,6 +63,7 @@ CHECKS = (
     ("wide", "BENCH_wide.json", "speedup", "bar_asserted"),
     ("serve", "BENCH_serve.json", "efficiency", "bar_asserted"),
     ("fused", "BENCH_fused.json", "speedup", "bar_asserted"),
+    ("fused_stable", "BENCH_fused.json", "fused_stable_single_speedup", None),
     ("fog", "BENCH_fog.json", "hit_rate", None),
     ("resilience", "BENCH_resilience.json", "availability", None),
     ("fogperf", "BENCH_fogperf.json", "pipelined_speedup_16", "bar_asserted"),
@@ -78,6 +84,10 @@ def compare(
             f"{name}: skipped ({gate_key} is false in the current run — "
             f"host has {current.get('cpu_count', '?')} CPUs)"
         )
+    if metric not in baseline:
+        return True, f"{name}: baseline has no {metric}, nothing to compare"
+    if metric not in current:
+        return False, f"{name}: current run recorded no {metric} — FAIL"
     base = float(baseline[metric])
     cur = float(current[metric])
     if base <= 0:

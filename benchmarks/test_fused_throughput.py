@@ -16,7 +16,13 @@ pure execution efficiency, never a numerics change.
 Results go to ``BENCH_fused.json`` at the repo root: items/s for the
 unfused single-process baseline (the PR 1 engine path), the fused
 single-process plan, and the fused multi-worker shared-memory path;
-``speedup`` is best-fused over unfused-baseline.  The ISSUE acceptance
+``speedup`` is best-fused over unfused-baseline.  A second pair of arms
+times the serve configuration — ``stable_contractions=True`` at the wire
+default posit<8,2> — where the unfused network contracts through the
+fixed-order einsum and the fused plan through BLAS wherever the span
+check of :mod:`repro.engine.exact` proves it exact:
+``fused_stable_single_speedup`` is fused over unfused there, a
+single-process same-host ratio the regression gate checks on every host.  The ISSUE acceptance
 bar (>= 5x end-to-end) applies **on a multi-core host**, where the
 single-process fused gain (~2x from killing the encode) compounds with
 parallel sharding; on < 4 CPUs the honest sub-bar number is recorded with
@@ -34,12 +40,14 @@ import pytest
 from repro.engine import BatchedRunner, ParallelRunner
 from repro.nn.posit_inference import PositQuantizedNetwork
 from repro.nn.zoo import kws_cnn1
-from repro.posit import POSIT8
+from repro.posit import POSIT8, STD_POSIT8
 
 from conftest import quick_mode
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 FMT = POSIT8
+#: The serve configuration's format (wire default) for the stable arms.
+STABLE_FMT = STD_POSIT8
 ITEMS = 64 if quick_mode() else 192
 BATCH = 16
 REPEATS = 2 if quick_mode() else 5
@@ -93,6 +101,17 @@ def measurement(tmp_path_factory):
         pstats = runner.stats()
     assert pstats["fallbacks"] == 0, "fused parallel path fell back in-process"
 
+    # The serve configuration: stable contractions, posit<8,2>.
+    sqnet = PositQuantizedNetwork(net, STABLE_FMT, stable_contractions=True)
+    stable_unfused = BatchedRunner(sqnet, batch_size=BATCH)
+    stable_unfused.run(x[:BATCH])
+    ys_ref = stable_unfused.run(x)
+    stable_unfused_wall = _best_wall(stable_unfused.run, x)
+    stable_fused = BatchedRunner(sqnet.fused_plan(), batch_size=BATCH)
+    stable_fused.run(x[:BATCH])
+    assert np.array_equal(stable_fused.run(x), ys_ref), "fused stable plan diverged"
+    stable_fused_wall = _best_wall(stable_fused.run, x)
+
     unfused_ips = ITEMS / unfused_wall
     fused_ips = ITEMS / fused_wall
     par_ips = ITEMS / par_wall
@@ -109,6 +128,10 @@ def measurement(tmp_path_factory):
         "fused_parallel_items_per_s": par_ips,
         "fused_single_speedup": fused_ips / unfused_ips,
         "speedup": best_ips / unfused_ips,
+        "stable_format": str(STABLE_FMT),
+        "stable_unfused_items_per_s": ITEMS / stable_unfused_wall,
+        "stable_fused_items_per_s": ITEMS / stable_fused_wall,
+        "fused_stable_single_speedup": stable_unfused_wall / stable_fused_wall,
         "speedup_bar": SPEEDUP_BAR,
         "bar_asserted": MULTI_CORE,
         "bit_identical": True,
@@ -140,6 +163,9 @@ def test_fused_throughput(benchmark, measurement, report):
             f"({m['fused_single_speedup']:.2f}x)",
             f"fused {m['workers']} workers   {m['fused_parallel_items_per_s']:10.2f} items/s",
             f"speedup          {m['speedup']:10.2f}x  (bar >= {SPEEDUP_BAR}x, {bar_note})",
+            f"stable unfused   {m['stable_unfused_items_per_s']:10.2f} items/s ({m['stable_format']})",
+            f"stable fused     {m['stable_fused_items_per_s']:10.2f} items/s "
+            f"({m['fused_stable_single_speedup']:.2f}x)",
             f"bit-identical    {m['bit_identical']}",
         ],
     )

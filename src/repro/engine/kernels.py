@@ -111,17 +111,20 @@ def lut_matmul(
 
 
 def stable_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``a @ b`` with a batch-composition-independent accumulation order.
+    """``a @ b`` with a batch-composition-independent accumulation order:
+    the fallback when the span check fails.
 
     BLAS ``@`` picks different kernels (and hence different float64
     summation orders) for different row counts, so ``(x @ w)[i]`` is *not*
     byte-equal to ``x[i:i+1] @ w`` in general.  The serving layer coalesces
     rows from unrelated requests into one batch and promises each request a
-    result byte-equal to solo execution, so its contractions run through
-    this kernel instead: non-optimized ``einsum`` reduces over K in a fixed
-    C-order loop per output element, making every output row a pure
-    function of its own input row.  Costs ~5x BLAS at serving sizes —
-    still vectorized, and far cheaper than the coalescing win it enables.
+    result byte-equal to solo execution.  Where the operands' span proves
+    every partial sum exact (:mod:`repro.engine.exact`) any order gives the
+    same bytes and the engine uses BLAS; everywhere else — wide spans, NaR
+    operands, the table-free wide formats, operands known only as values —
+    contractions run through this kernel: non-optimized ``einsum`` reduces
+    over K in a fixed C-order loop per output element, making every output
+    row a pure function of its own input row.
     """
     a = np.asarray(a, dtype=np.float64)
     b = np.asarray(b, dtype=np.float64)

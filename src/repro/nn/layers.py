@@ -213,11 +213,16 @@ class MaxPool2D(Layer):
         self._max = None
 
     def forward(self, x, training=False):
-        n, c, h, w = x.shape
+        # Pairwise maxima over strided window views, in the row-major
+        # order ``max(axis=(3, 5))`` of the (n, c, hh, s, ww, s) reshape
+        # reduces in — byte-equal to it, signed-zero ties and NaN included
+        # — without that reshape's copy of a non-contiguous input.
         s = self.size
-        hh, ww = h // s, w // s
-        view = x[:, :, : hh * s, : ww * s].reshape(n, c, hh, s, ww, s)
-        out = view.max(axis=(3, 5))
+        hh, ww = x.shape[2] // s, x.shape[3] // s
+        wins = [x[:, :, i : hh * s : s, j : ww * s : s] for i in range(s) for j in range(s)]
+        out = np.array(wins[0], order="C") if s == 1 else np.maximum(wins[0], wins[1], order="C")
+        for win in wins[2:]:
+            np.maximum(out, win, out=out)
         self._x, self._out = x, out
         return out
 

@@ -10,7 +10,9 @@ each connection:
 * **HTTP scrape plane** — plain ``GET /healthz`` (liveness), ``GET
   /metrics`` (Prometheus text format via
   :meth:`repro.engine.observe.Metrics.to_prometheus`) and ``GET /stats``
-  (JSON server/executor detail), so the same port a load balancer checks
+  (JSON server/executor detail, plus an ``engine`` block with the
+  exact-contraction counters and BLAS thread count of
+  :mod:`repro.engine.exact`), so the same port a load balancer checks
   is the one Prometheus scrapes.
 
 Request lifecycle: parse → admission (bounded queue + per-tenant token
@@ -32,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
+from ..engine.exact import stats as exact_stats
 from ..engine.observe import METRICS, Metrics
 from .admission import AdmissionController
 from .batcher import DynamicBatcher
@@ -423,6 +426,7 @@ class ReproServer:
             "admission": self.admission.stats(),
             "batcher": self.batcher.stats(),
             "executor": self.executor.stats(),
+            "engine": exact_stats(),
             "config": {
                 "max_batch": self.config.max_batch,
                 "max_delay_ms": self.config.max_delay_ms,
