@@ -8,7 +8,7 @@ asserts the zero-drop ledger (every accepted request answered).
 
 The regression-gated metric is ``efficiency`` — served QPS divided by the
 QPS of the same samples run *sequentially, solo* through the quantized
-network in-process.  That normalizes away host speed (both sides run on
+network's compiled plan in-process.  That normalizes away host speed (both sides run on
 the same machine in the same process group) and measures exactly what the
 serving layer adds: batching amortization minus protocol/asyncio
 overhead.  Results go to ``BENCH_serve.json`` at the repo root, gated by

@@ -84,7 +84,6 @@ from .parallel import (
     FusedPlanSpec,
     ModelHandle,
     ParallelRunner,
-    PositNetworkSpec,
     shard_lut_matmul,
 )
 
@@ -136,7 +135,6 @@ __all__ = [
     "FusedPlanSpec",
     "BatchedRunner",
     "ParallelRunner",
-    "PositNetworkSpec",
     "ModelHandle",
     "shard_rows",
     "shard_lut_matmul",

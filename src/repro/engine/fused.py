@@ -1,14 +1,14 @@
 """Fused code-space inference: plan a whole network once, then execute it
 without re-deriving any per-layer decisions.
 
-The unfused path (:mod:`repro.nn.posit_inference`) quantizes every
-quantized layer's input on entry — a correctly rounded *encode* (boundary
-binary search) followed by a *decode* back to grid values.  Profiling the
-end-to-end DNN path shows that encode dominating the wall clock (>50% on
-the 8-bit KWS models).  :class:`FusedPlan` removes it from the hot loop,
-PAPER §II's FloPoCo paradigm applied in software — generate exactly the
-datapath the computation needs instead of round-tripping through generic
-machinery:
+:class:`FusedPlan` is the one executor of a posit network.  Its semantics
+are :func:`~repro.nn.posit_inference.reference_forward`, which rounds
+every quantized layer's input onto the posit grid — a correctly rounded
+*encode* (boundary binary search), then a *decode* back to grid values.
+Run layer by layer, that encode dominates the wall clock (>50% on the
+8-bit KWS models).  The plan removes it from the hot loop, PAPER §II's
+FloPoCo paradigm applied in software — generate exactly the datapath the
+computation needs instead of round-tripping through generic machinery:
 
 * **Plan once.**  ``FusedPlan.compile(network, fmt)`` walks the float
   :class:`~repro.nn.network.Sequential` a single time and emits a flat
@@ -39,27 +39,28 @@ machinery:
   activation span from a per-code table over the input codes).  When it
   holds, contractions run on BLAS, and convolutions over K-major
   sliding-window columns (see :class:`_Conv`) — the order is free, so
-  the column layout is too; the output keeps the unfused NHWC layout,
-  because downstream reductions (``GlobalAvgPool``'s mean) sum in memory
-  order.  When it fails (wide spans, NaR codes, the
+  the column layout is too; the output keeps the reference's NHWC
+  layout, because downstream reductions (``GlobalAvgPool``'s mean) sum
+  in memory order.  When it fails (wide spans, NaR codes, the
   table-free 17..32-bit formats) the stage runs the im2col +
   :meth:`~PositBackend.matmul_values` path unchanged and the fallback is
   counted in ``engine.exact.fallbacks``.
+* **Fault and poison sites are stages.**  ``compile(...,
+  fault_plan=..., poison_audit=True)`` puts an activation-fault stage
+  (:meth:`~repro.engine.faults.FaultPlan.corrupt_activations` at site
+  ``activation.{i}.layer.{Name}``) and a poison-audit stage (non-finite
+  counts per layer, :meth:`FusedPlan.poison_report`) after each layer's
+  op stage.  A clean plan has neither.
 
-**Fused is a pure execution strategy, never a numerics change**: for any
-input, ``plan.forward(x)`` is byte-equal to the unfused
-``PositQuantizedNetwork.forward(x)`` built over the same backend.  The
-argument, boundary by boundary: the stage-exit encode runs where the
-unfused quantize's encode half runs (after all interludes), the stage-entry
-decode is the quantize's decode half, and the specialized kernels are
-bit-exact with the codec.  Residual blocks are the one structural
-exception — their shortcut adds the *unquantized* block input, so they
-take a float entry and quantize internally (through the same fast
-kernels), exactly like the unfused executor.
-
-Not supported (by design): fault injection and poison audits.  Those
-hooks exist to perturb the unfused datapath; a plan compiled against a
-fault-carrying backend or registry raises instead of silently diverging.
+**Specialization is never a numerics change**: for any input,
+``plan.forward(x)`` is byte-equal to ``reference_forward(net, backend,
+x)`` over the same backend.  The argument, boundary by boundary: the
+stage-exit encode runs where the reference's quantize-encode runs (after
+all interludes), the stage-entry decode is the quantize's decode half,
+and the specialized kernels are bit-exact with the codec.  Residual
+blocks are the one structural exception — their shortcut adds the
+*unquantized* block input, so they take a float entry and quantize
+internally (through the same fast kernels), exactly like the reference.
 
 Plans hold per-stage scratch buffers (decode targets are reused across
 calls via the codecs' ``out=`` hooks), so a plan instance is not
@@ -73,10 +74,12 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .backend import OpCounters, timed_op
+from .backend import timed_op
 from .exact import blas
+from .kernels import nonfinite_count
+from .observe import METRICS, TRACER
 from .posit_backend import CodecKernels, PositBackend
-from .registry import REGISTRY, KernelRegistry
+from .registry import REGISTRY
 
 __all__ = ["FusedPlan", "FusedStage"]
 
@@ -109,9 +112,9 @@ class _Scratch:
 def _conv_apply(backend: PositBackend, conv, qw: np.ndarray, qx: np.ndarray) -> np.ndarray:
     """One convolution over already-quantized grid values.
 
-    Same operation sequence as the unfused ``_PConv`` executor (im2col,
-    float64 contraction, bias, NHWC->NCHW) so the float arithmetic — and
-    therefore every output byte — is identical.
+    Same operation sequence as :func:`~repro.nn.posit_inference.
+    reference_forward` (im2col, float64 contraction, bias, NHWC->NCHW) so
+    the float arithmetic — and therefore every output byte — is identical.
     """
     from ..nn.layers import im2col
 
@@ -128,7 +131,7 @@ class FusedStage:
     (posit code array — the stage's first act is a table-gather decode) or
     ``"float"`` (unquantized float64).  Compile inserts an encode stage
     wherever a float producer feeds a codes consumer, which is exactly
-    where the unfused path's quantize ran.
+    where the reference's quantize runs.
     """
 
     kind = "?"
@@ -177,7 +180,7 @@ class _Conv:
         self.scratch = scratch
         self.slot = slot
         #: Weights pre-encoded once at compile time; ``qw`` is their decoded
-        #: grid values — bit-identical to the unfused executor's quantize.
+        #: grid values — bit-identical to ``backend.quantize``.
         self.wcodes = kernels.encode(conv.w.data)
         self.qw = kernels.decode(self.wcodes)
         f, c, kh, kw = self.qw.shape
@@ -318,6 +321,55 @@ class _LayerStage(FusedStage):
         return self.layer.forward(x)
 
 
+class _FaultStage(FusedStage):
+    """Activation soft errors after one layer
+    (:meth:`~repro.engine.faults.FaultPlan.corrupt_activations`), keyed on
+    the site name and the activation's bytes — identical in any process."""
+
+    kind = "fault"
+    entry = "float"
+
+    def __init__(self, fault_plan, backend: PositBackend, site: str):
+        self.fault_plan = fault_plan
+        self.backend = backend
+        self.name = site
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        return self.fault_plan.corrupt_activations(x, self.backend, self.name)
+
+
+class _PoisonStage(FusedStage):
+    """Poison audit after one layer: counts its non-finite (NaR-decoded
+    NaN / inf) elements into the plan's report, the ``poison.nonfinite``
+    metric and a ``poison.layer`` trace record.  Passes ``x`` through."""
+
+    kind = "poison"
+    entry = "float"
+
+    def __init__(self, report: Dict[int, dict], layer: int, name: str):
+        self.report = report
+        self.layer = layer
+        self.name = name
+
+    def run(self, x: np.ndarray) -> np.ndarray:
+        bad = nonfinite_count(x)
+        entry = self.report.setdefault(
+            self.layer, {"layer": self.layer, "name": self.name, "nonfinite": 0, "elements": 0}
+        )
+        entry["nonfinite"] += bad
+        entry["elements"] += int(x.size)
+        if bad:
+            METRICS.inc("poison.nonfinite", bad)
+            if TRACER.enabled:
+                TRACER.record(
+                    "poison.layer",
+                    ts=0.0,
+                    dur=0.0,
+                    attrs={"layer": self.layer, "name": self.name, "nonfinite": bad},
+                )
+        return x
+
+
 class FusedPlan:
     """A compiled, code-space execution plan for one network + format.
 
@@ -328,7 +380,7 @@ class FusedPlan:
     parallel layer does to ship encoded activations through shared memory.
     """
 
-    def __init__(self, net, fmt, backend: PositBackend, kernels: CodecKernels, stages):
+    def __init__(self, net, fmt, backend: PositBackend, kernels: CodecKernels, stages, fault_plan, poison):
         self.net = net
         self.fmt = fmt
         #: The backend whose counters/codec/contraction mode this plan uses
@@ -337,6 +389,10 @@ class FusedPlan:
         self.kernels = kernels
         self.stages: List[FusedStage] = list(stages)
         self.stable_contractions = backend.stable_contractions
+        #: What compile was given, so a worker can recompile the same plan.
+        self.fault_plan = fault_plan
+        self.poison_audit = poison is not None
+        self._poison: Dict[int, dict] = poison if poison is not None else {}
         self.code_dtype = np.dtype(kernels.code_dtype)
         #: ``"codes"`` when the first stage is an input encode (every
         #: network whose first layer is quantized) — the shared-memory
@@ -355,74 +411,63 @@ class FusedPlan:
         fmt,
         *,
         backend: Optional[PositBackend] = None,
-        registry: Optional[KernelRegistry] = None,
-        stable_contractions: bool = False,
-        counters: Optional[OpCounters] = None,
+        fault_plan=None,
+        poison_audit: bool = False,
     ) -> "FusedPlan":
         """Plan ``net`` (a float :class:`~repro.nn.network.Sequential`) once.
 
-        ``backend`` may be a preconstructed :class:`PositBackend` (sharing
-        counters and the stable-contraction flag with an existing unfused
-        network); by default one is built over the process-wide registry.
-        A :class:`~repro.nn.posit_inference.PositQuantizedNetwork` may be
-        passed as ``net`` — its float network, format and backend are used.
+        ``backend`` may be a preconstructed :class:`PositBackend` (its
+        counters, registry and stable-contraction flag are the plan's); by
+        default one is built over the process-wide registry.
+        ``fault_plan`` (its ``activation_rate``) and ``poison_audit`` add a
+        fault and an audit stage after every layer.  Raises
+        :class:`ValueError` when the backend or its registry carries a
+        plan with ``lut_rate > 0``.
         """
         from ..nn.layers import Conv2D, Dense, ResidualBlock
 
-        if hasattr(net, "net") and hasattr(net, "engine"):  # a quantized network
-            qnet = net
-            if getattr(qnet, "fault_plan", None) is not None or getattr(
-                qnet, "poison_audit", False
-            ):
-                raise ValueError(
-                    "fused execution is a pure execution strategy; fault "
-                    "injection and poison audits need the unfused path"
-                )
-            net, fmt = qnet.net, qnet.fmt
-            backend = backend if backend is not None else qnet.engine
         if backend is None:
-            backend = PositBackend(
-                fmt,
-                counters=counters,
-                registry=registry,
-                stable_contractions=stable_contractions,
-            )
-        reg = backend.registry if backend.registry is not None else (
-            registry if registry is not None else REGISTRY
-        )
-        if backend.fault_plan is not None or reg.fault_plan is not None:
+            backend = PositBackend(fmt)
+        reg = backend.registry if backend.registry is not None else REGISTRY
+        if any(p is not None and p.lut_rate > 0.0 for p in (backend.fault_plan, reg.fault_plan)):
             raise ValueError(
-                "cannot compile a fused plan against a fault-carrying "
-                "backend/registry: fused execution would not reproduce the "
-                "injected corruption (use the unfused path)"
+                "cannot compile a fused plan against kernel-table faults "
+                "(lut_rate > 0): the specialized codec kernels would not "
+                "reproduce the corrupted tables"
             )
         kernels = backend.codec_kernels()
+        inject = fault_plan is not None and fault_plan.activation_rate > 0.0
+        poison: Optional[Dict[int, dict]] = {} if poison_audit else None
 
-        ops: List[FusedStage] = []
-        for layer in net.layers:
-            if isinstance(layer, Conv2D):
-                ops.append(_ConvStage(layer, backend, kernels))
-            elif isinstance(layer, Dense):
-                ops.append(_DenseStage(layer, backend, kernels))
-            elif isinstance(layer, ResidualBlock):
-                ops.append(_ResidualStage(layer, backend, kernels))
-            else:
-                ops.append(_LayerStage(layer))
         stages: List[FusedStage] = []
-        for op in ops:
+        for i, layer in enumerate(net.layers):
+            if isinstance(layer, Conv2D):
+                op = _ConvStage(layer, backend, kernels)
+            elif isinstance(layer, Dense):
+                op = _DenseStage(layer, backend, kernels)
+            elif isinstance(layer, ResidualBlock):
+                op = _ResidualStage(layer, backend, kernels)
+            else:
+                op = _LayerStage(layer)
             if op.entry == "codes":
-                # The boundary encode sits exactly where the unfused
-                # quantize's encode half ran: after every interlude, at
-                # the quantized layer's entry.
+                # The boundary encode sits exactly where the reference's
+                # quantize runs: after every interlude, at the quantized
+                # layer's entry.
                 stages.append(_EncodeStage(backend, kernels))
             stages.append(op)
-        return cls(net, fmt, backend, kernels, stages)
+            site = f"layer.{type(layer).__name__}"
+            if inject:
+                stages.append(_FaultStage(fault_plan, backend, f"activation.{i}.{site}"))
+            if poison is not None:
+                stages.append(_PoisonStage(poison, i, site))
+        return cls(net, fmt, backend, kernels, stages, fault_plan, poison)
 
     # ------------------------------------------------------------------
     # Execution
     # ------------------------------------------------------------------
     def forward(self, x: np.ndarray) -> np.ndarray:
-        """Float samples in, float64 logits out — byte-equal to unfused."""
+        """Float samples in, float64 logits out — byte-equal to
+        :func:`~repro.nn.posit_inference.reference_forward`."""
         cur = np.asarray(x, dtype=np.float64)
         with timed_op(self.engine.counters, "fused.forward", cur.size, fmt=self.engine.name):
             for stage in self.stages:
@@ -454,6 +499,22 @@ class FusedPlan:
             for stage in self.stages[1:]:
                 cur = stage.run(cur)
         return cur
+
+    # ------------------------------------------------------------------
+    # Poison audit
+    # ------------------------------------------------------------------
+    def poison_report(self) -> List[dict]:
+        """Per-layer non-finite propagation counts.
+
+        Each entry: ``{"layer", "name", "nonfinite", "elements"}`` in layer
+        order, accumulated over every forward since the last
+        :meth:`reset_poison`.  Empty unless compiled with
+        ``poison_audit=True``.
+        """
+        return [self._poison[k] for k in sorted(self._poison)]
+
+    def reset_poison(self) -> None:
+        self._poison.clear()
 
     # ------------------------------------------------------------------
     # Introspection

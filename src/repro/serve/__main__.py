@@ -22,11 +22,6 @@ def _parse_args(argv=None) -> ServeConfig:
     parser.add_argument("--workers", type=int, default=None)
     parser.add_argument("--default-deadline-ms", type=float, default=1000.0)
     parser.add_argument(
-        "--no-fused", action="store_true",
-        help="serve nn_predict through the per-layer executors instead of "
-             "compiled fused plans (bit-identical either way)",
-    )
-    parser.add_argument(
         "--fog-nodes", type=int, default=None,
         help="dispatch through an N-node fog topology (default: direct engine)",
     )
@@ -77,7 +72,6 @@ def _parse_args(argv=None) -> ServeConfig:
         tenant_rate=args.tenant_rate,
         workers=args.workers,
         default_deadline_ms=args.default_deadline_ms,
-        fused=not args.no_fused,
         fog_nodes=args.fog_nodes,
         fog_replicas=args.fog_replicas,
         fog_fabric=args.fog_fabric,

@@ -76,9 +76,6 @@ class ServeConfig:
     #: nn_predict worker-pool size (None/1 = in-process execution).
     workers: Optional[int] = None
     nn_batch_size: int = 32
-    #: Serve nn_predict through compiled fused plans (bit-identical to the
-    #: unfused executors; False reverts to the per-layer path).
-    fused: bool = True
     #: Optional ChaosPlan injected into runner pools (testing).
     chaos: object = None
     extra_executor_opts: dict = field(default_factory=dict)
@@ -130,7 +127,6 @@ class ReproServer:
                 "workers": self.config.workers,
                 "nn_batch_size": self.config.nn_batch_size,
                 "chaos": self.config.chaos,
-                "fused": self.config.fused,
                 **self.config.extra_executor_opts,
             }
             if self.config.fog_fabric:
@@ -172,7 +168,6 @@ class ReproServer:
                 nn_batch_size=self.config.nn_batch_size,
                 chaos=self.config.chaos,
                 metrics=self.metrics,
-                fused=self.config.fused,
                 **self.config.extra_executor_opts,
             )
         self.admission = AdmissionController(

@@ -276,6 +276,23 @@ class TestParallelBitIdentity:
         assert stats["fallbacks"] == 0
         assert np.array_equal(y_inproc, y_par, equal_nan=True)
 
+    def test_runner_faults_over_a_quantized_network(self, tmp_path):
+        """A runner's FaultPlan rides the pool initializer into each
+        worker's registry; the plans the workers compile must accept an
+        activation-only plan (only ``lut_rate`` is refused) and compute on
+        the pool, not fall back."""
+        qnet = PositQuantizedNetwork(kws_cnn1(seed=0), POSIT8)
+        plan = FaultPlan(seed=23, activation_rate=0.05)
+        x = np.random.default_rng(6).normal(size=(16, 1, 31, 20))
+        want = BatchedRunner(qnet, batch_size=4, fault_plan=plan).run(x)
+        with ParallelRunner(
+            qnet, workers=2, batch_size=4, cache_dir=tmp_path, fault_plan=plan
+        ) as runner:
+            got = runner.run(x)
+            stats = runner.stats()
+        assert stats["fallbacks"] == 0
+        assert np.array_equal(got, want, equal_nan=True)
+
     def test_lut_faults_identical_across_processes(self, tmp_path):
         plan = FaultPlan(seed=9, lut_rate=0.01)
         rng = np.random.default_rng(5)

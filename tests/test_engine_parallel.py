@@ -16,6 +16,7 @@ of worker-side rebuilds).
 
 import multiprocessing
 import os
+import pickle
 import time
 
 import numpy as np
@@ -23,7 +24,7 @@ import pytest
 
 from repro.engine import BatchedRunner, ParallelRunner, KernelRegistry
 from repro.engine.kernels import lut_matmul, shard_rows
-from repro.engine.parallel import ModelHandle, PositNetworkSpec, shard_lut_matmul
+from repro.engine.parallel import FusedPlanSpec, ModelHandle, _factory_for, shard_lut_matmul
 from repro.nn.posit_inference import PositQuantizedNetwork
 from repro.nn.zoo import kws_cnn1
 from repro.posit import POSIT8
@@ -377,7 +378,7 @@ class TestParallelStats:
             runner.run(x)
             stats = runner.stats()
         assert stats["fallbacks"] == 0
-        assert stats["ops"]["quantize"]["elements"] > 0
+        assert stats["ops"]["fused.decode"]["elements"] > 0  # decodes run only on workers
         assert stats["ops"]["matmul[values]"]["calls"] > 0
 
     def test_reset_clears_everything(self):
@@ -391,10 +392,23 @@ class TestParallelStats:
         assert stats["ops"] == {}
 
     def test_factory_spec_roundtrip(self):
-        net = kws_cnn1(seed=3)
-        spec = PositNetworkSpec(net, POSIT8)
-        rebuilt = spec()
-        assert isinstance(rebuilt, PositQuantizedNetwork)
+        from repro.engine import FaultPlan
+
+        qnet = PositQuantizedNetwork(
+            kws_cnn1(seed=3),
+            POSIT8,
+            stable_contractions=True,
+            fault_plan=FaultPlan(seed=4, activation_rate=0.01),
+            poison_audit=True,
+        )
+        plan = qnet.fused_plan()
+        spec = _factory_for(plan)
+        assert isinstance(spec, FusedPlanSpec)
+        rebuilt = pickle.loads(pickle.dumps(spec))()
+        assert [s.describe() for s in rebuilt.stages] == [s.describe() for s in plan.stages]
+        assert rebuilt.stable_contractions and rebuilt.poison_audit
+        x = np.random.default_rng(25).normal(size=(4, 1, 31, 20))
+        assert rebuilt.forward(x).tobytes() == plan.forward(x).tobytes()
         handle = ModelHandle(TinyModel(seed=24))
         assert handle() is handle.model
 

@@ -1,8 +1,8 @@
 """BatchedRunner and the engine-backed posit inference path.
 
-The load-bearing check: :class:`PositQuantizedNetwork` now executes through
-:class:`repro.engine.posit_backend.PositBackend`, and its forward pass must
-be bit-identical to the original scalar-LUT path (quantize onto the posit
+The load-bearing check: :class:`PositQuantizedNetwork` executes its
+compiled plan through :class:`repro.engine.posit_backend.PositBackend`,
+and its forward pass must be bit-identical to the original scalar-LUT path (quantize onto the posit
 grid, exact float64 products, 53-bit quire-model accumulation, unquantized
 bias and activations).  ``_reference_forward`` reimplements that original
 path inline from a fresh codec, so any drift in the engine rewiring fails
@@ -14,7 +14,7 @@ import pytest
 
 from repro.engine import BatchedRunner, OpCounters, PositBackend
 from repro.nn.layers import Conv2D, Dense, ResidualBlock, im2col
-from repro.nn.posit_inference import PositQuantizedNetwork
+from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1, resnet_mini
 from repro.posit import POSIT8, POSIT16
 from repro.posit.tensor import PositCodec
@@ -107,7 +107,8 @@ class TestBatchedRunner:
         qnet, runner = self._setup(batch_size=2)
         rng = np.random.default_rng(13)
         x = rng.normal(size=(5, 1, 31, 20))
-        assert np.allclose(runner.run(x), qnet.forward(x), rtol=1e-12, atol=1e-12)
+        ref = reference_forward(qnet.net, qnet.engine, x)
+        assert np.allclose(runner.run(x), ref, rtol=1e-12, atol=1e-12)
 
     def test_stats_shape_and_counters(self):
         _, runner = self._setup(batch_size=2)
@@ -118,8 +119,8 @@ class TestBatchedRunner:
         assert stats["batches"] == 3  # 2 + 2 + 1
         assert stats["wall_s"] > 0 and stats["items_per_s"] > 0
         assert stats["mean_batch_ms"] > 0
-        # The runner adopted the model engine's counters: backend ops show up.
-        assert stats["ops"]["quantize"]["elements"] > 0
+        # The runner adopted the model engine's counters: the plan's ops show up.
+        assert stats["ops"]["fused.encode"]["elements"] > 0
         assert stats["ops"]["matmul[values]"]["calls"] > 0
         assert stats["table_hits"] >= 0 and stats["table_misses"] >= 0
 

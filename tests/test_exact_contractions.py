@@ -3,7 +3,7 @@ gives the same bytes, the fixed-order einsum everywhere else.
 
 Each case asserts which branch ran (through the ``engine.exact.*``
 counters) and that the bytes equal :func:`stable_matmul` — or, end to end,
-the unfused network.  Spans are computed here by an independent oracle
+:func:`~repro.nn.posit_inference.reference_forward`.  Spans are computed here by an independent oracle
 (``float.as_integer_ratio``) rather than by the engine's per-code table.
 """
 
@@ -22,7 +22,7 @@ from repro.engine.posit_backend import PositBackend
 from repro.engine.registry import get_codec
 from repro.nn.layers import Dense
 from repro.nn.network import Sequential
-from repro.nn.posit_inference import PositQuantizedNetwork
+from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1, kws_cnn2, resnet_mini
 from repro.posit import POSIT8, POSIT16, STD_POSIT8
 from repro.posit.format import PositFormat
@@ -181,7 +181,7 @@ def test_zero_row_against_negative_weights_stays_positive_zero():
     out = plan.forward(x)
     assert _delta(before) == (1, 0)
     assert not np.signbit(out[3]).any()
-    assert out.tobytes() == qnet.forward(x).tobytes()
+    assert out.tobytes() == reference_forward(qnet.net, qnet.engine, x).tobytes()
     # The raw BLAS contraction (no bias add to mask a -0.0) too.
     be, head = qnet.engine, plan.stages[-1]
     codes = be.encode(x)
@@ -223,7 +223,7 @@ def test_wide_format_always_falls_back():
     out = plan.forward(x)
     blas, fallbacks = _delta(before)
     assert blas == 0 and fallbacks == 3
-    assert out.tobytes() == qnet.forward(x).tobytes()
+    assert out.tobytes() == reference_forward(qnet.net, qnet.engine, x).tobytes()
     be = plan.engine
     a = be.encode(x.reshape(4, -1)[:, :64].repeat(16, axis=0))
     b = be.encode(np.random.default_rng(14).normal(size=(64, 32)))
@@ -279,7 +279,7 @@ def test_fused_matches_unfused_on_both_branches(fmt, build, shape, stable):
     rng = np.random.default_rng(100 * fmt.nbits + fmt.es)
     before = _counts()
     for x in _inputs(fmt, shape, rng):
-        assert plan.forward(x).tobytes() == qnet.forward(x).tobytes()
+        assert plan.forward(x).tobytes() == reference_forward(qnet.net, qnet.engine, x).tobytes()
     blas, fallbacks = _delta(before)
     assert blas > 0 and fallbacks > 0
 

@@ -1,12 +1,12 @@
 """Fused code-space inference: kernel parity, plan identity, sharding.
 
 The contract under test is the strongest the repo makes: a
-:class:`repro.engine.fused.FusedPlan` is a pure *execution strategy* —
-for any input, any model, any supported format, its output is
-``array_equal`` (bytes, not tolerances) with the unfused
-:class:`PositQuantizedNetwork` built over the same backend, whether run
-single-process, split at the code boundary, or sharded across worker
-processes through shared memory.
+:class:`repro.engine.fused.FusedPlan` — the one executor of a posit
+network — changes no numerics.  For any input, any model, any supported
+format, its output is ``array_equal`` (bytes, not tolerances) with
+:func:`repro.nn.posit_inference.reference_forward` over the same backend,
+whether run single-process, split at the code boundary, or sharded across
+worker processes through shared memory.
 
 The encode-LUT parity tests are the foundation: the fused path's direct
 float64-bits encode table must agree with the boundary-searchsorted codec
@@ -21,16 +21,15 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.engine import BatchedRunner, CodecKernels, ParallelRunner
+from repro.engine import BatchedRunner, CodecKernels, FaultPlan, ParallelRunner
 from repro.engine.fused import FusedPlan
 from repro.engine.posit_backend import PositBackend
 from repro.engine.registry import (
-    ENCODE_TABLE_MAX_BITS,
     KernelRegistry,
     get_codec,
     get_encode_table,
 )
-from repro.nn.posit_inference import PositQuantizedNetwork
+from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1, kws_cnn2, resnet_mini
 from repro.posit import POSIT8, POSIT16, POSIT32, STD_POSIT8
 from repro.posit.format import PositFormat
@@ -142,10 +141,10 @@ class TestFusedPlanIdentity:
     @pytest.mark.parametrize("fmt", FORMATS, ids=str)
     def test_forward_bit_identical_to_unfused(self, build, shape, fmt):
         net = build(seed=11)
-        qnet = PositQuantizedNetwork(net, fmt)
-        plan = FusedPlan.compile(net, fmt, backend=qnet.engine)
+        backend = PositBackend(fmt)
+        plan = FusedPlan.compile(net, fmt, backend=backend)
         x = np.random.default_rng(3).normal(size=(5,) + shape)
-        assert np.array_equal(plan.forward(x), qnet.forward(x), equal_nan=True)
+        assert np.array_equal(plan.forward(x), reference_forward(net, backend, x), equal_nan=True)
 
     def test_codes_split_equals_forward(self):
         net = kws_cnn1(seed=2)
@@ -165,22 +164,20 @@ class TestFusedPlanIdentity:
 
     def test_nan_inputs_propagate_identically(self):
         net = kws_cnn1(seed=6)
-        qnet = PositQuantizedNetwork(net, POSIT8)
-        plan = FusedPlan.compile(net, POSIT8, backend=qnet.engine)
+        plan = FusedPlan.compile(net, POSIT8)
         x = np.random.default_rng(8).normal(size=(4, 1, 31, 20))
         x[1, 0, 5, 5] = np.nan
         x[3, 0, 0, 0] = np.inf
-        assert np.array_equal(plan.forward(x), qnet.forward(x), equal_nan=True)
+        assert np.array_equal(plan.forward(x), reference_forward(net, plan.engine, x), equal_nan=True)
 
     def test_scratch_reuse_across_batch_sizes(self):
         """Repeated calls with changing batch sizes (scratch buffers grow,
         shrink, and get reused) never change a byte."""
         net = kws_cnn1(seed=3)
-        qnet = PositQuantizedNetwork(net, POSIT8)
-        plan = FusedPlan.compile(net, POSIT8, backend=qnet.engine)
+        plan = FusedPlan.compile(net, POSIT8)
         for bs in (4, 9, 4, 1, 16, 2):
             x = np.random.default_rng(bs).normal(size=(bs, 1, 31, 20))
-            assert np.array_equal(plan.forward(x), qnet.forward(x))
+            assert np.array_equal(plan.forward(x), reference_forward(net, plan.engine, x))
 
     def test_residual_shortcut_uses_unquantized_input(self):
         """resnet's residual stages take a float entry: the shortcut adds
@@ -191,9 +188,8 @@ class TestFusedPlanIdentity:
         assert "residual" in kinds
         res = plan.stages[kinds.index("residual")]
         assert res.entry == "float"
-        qnet = PositQuantizedNetwork(net, STD_POSIT8)
         x = np.random.default_rng(1).normal(size=(3, 3, 16, 16))
-        assert np.array_equal(plan.forward(x), qnet.forward(x))
+        assert np.array_equal(plan.forward(x), reference_forward(net, plan.engine, x))
 
     def test_stable_contractions_flag_is_adopted(self):
         backend = PositBackend(POSIT8, stable_contractions=True)
@@ -211,47 +207,88 @@ class TestFusedPlanIdentity:
 
 class TestFusedRefusesFaults:
     def test_compile_rejects_backend_fault_plan(self):
-        from repro.engine.faults import FaultPlan
-
         backend = PositBackend(POSIT8, fault_plan=FaultPlan(seed=1, lut_rate=1.0))
         with pytest.raises(ValueError, match="fault"):
             FusedPlan.compile(kws_cnn1(seed=0), POSIT8, backend=backend)
 
     def test_compile_rejects_registry_fault_plan(self, tmp_path):
-        from repro.engine.faults import FaultPlan
-
         reg = KernelRegistry(cache_dir=tmp_path)
         reg.fault_plan = FaultPlan(seed=1, lut_rate=1.0)
         with pytest.raises(ValueError, match="fault"):
-            FusedPlan.compile(kws_cnn1(seed=0), POSIT8, registry=reg)
+            FusedPlan.compile(kws_cnn1(seed=0), POSIT8, backend=PositBackend(POSIT8, registry=reg))
 
-    def test_predict_fused_rejects_fault_plan(self):
-        from repro.engine.faults import FaultPlan
+    def test_compile_accepts_plans_without_table_faults(self, tmp_path):
+        """``activation_rate`` is a plan stage and ``op_rate`` hits only
+        ``add``/``mul``/``matmul`` code outputs, which no network path
+        calls: only ``lut_rate`` is refused."""
+        reg = KernelRegistry(cache_dir=tmp_path)
+        reg.fault_plan = FaultPlan(seed=1, activation_rate=0.5, op_rate=0.5)
+        backend = PositBackend(POSIT8, registry=reg, fault_plan=FaultPlan(seed=2, op_rate=1.0))
+        net = kws_cnn1(seed=0)
+        plan = FusedPlan.compile(net, POSIT8, backend=backend)
+        assert [s.kind for s in plan.stages] == [s.kind for s in FusedPlan.compile(net, POSIT8).stages]
+        x = np.random.default_rng(3).normal(size=(4, 1, 31, 20))
+        assert np.array_equal(plan.forward(x), reference_forward(net, backend, x))
 
+
+class TestFaultAndPoisonStages:
+    KWS1 = ["encode", "conv", "layer", "layer", "encode", "conv", "layer", "layer", "layer", "encode", "dense"]
+
+    def test_clean_plan_has_neither(self):
+        net = kws_cnn1(seed=0)
+        assert [s.kind for s in FusedPlan.compile(net, POSIT8).stages] == self.KWS1
+        zero = FusedPlan.compile(net, POSIT8, fault_plan=FaultPlan(seed=1, activation_rate=0.0))
+        assert [s.kind for s in zero.stages] == self.KWS1
+
+    def test_stages_follow_each_layer(self):
+        net = kws_cnn1(seed=0)
+        plan = FusedPlan.compile(net, POSIT8, fault_plan=FaultPlan(seed=1, activation_rate=0.01), poison_audit=True)
+        kinds = [s.kind for s in plan.stages]
+        assert [k for k in kinds if k not in ("fault", "poison")] == self.KWS1
+        assert kinds.count("fault") == kinds.count("poison") == len(net.layers)
+        for i, stage in enumerate(plan.stages):
+            if stage.kind == "fault":
+                assert plan.stages[i - 1].kind not in ("encode", "fault", "poison")
+                assert plan.stages[i + 1].kind == "poison"
+        sites = [s.name for s in plan.stages if s.kind == "fault"]
+        assert sites == [f"activation.{i}.layer.{type(layer).__name__}" for i, layer in enumerate(net.layers)]
+        assert plan.input_rep == "codes"  # the input encode still leads
+
+    def test_audit_passes_values_through(self):
+        net = kws_cnn1(seed=0)
+        clean = FusedPlan.compile(net, POSIT8)
+        audited = FusedPlan.compile(net, POSIT8, poison_audit=True)
+        x = np.random.default_rng(3).normal(size=(4, 1, 31, 20))
+        x[0, 0, 0, 0] = np.nan
+        assert np.array_equal(audited.forward(x), clean.forward(x), equal_nan=True)
+        assert [e["layer"] for e in audited.poison_report()] == list(range(len(net.layers)))
+        assert clean.poison_report() == []
+        audited.reset_poison()
+        assert audited.poison_report() == []
+
+    def test_network_is_a_front_for_its_plan(self):
         qnet = PositQuantizedNetwork(
-            kws_cnn1(seed=0), POSIT8, fault_plan=FaultPlan(seed=1, activation_rate=0.5)
+            kws_cnn1(seed=0), POSIT8, fault_plan=FaultPlan(seed=1, activation_rate=0.01), poison_audit=True
         )
-        with pytest.raises(ValueError, match="fused"):
-            qnet.predict(np.zeros((2, 1, 31, 20)), fused=True)
-
-    def test_predict_fused_rejects_poison_audit(self):
-        qnet = PositQuantizedNetwork(kws_cnn1(seed=0), POSIT8, poison_audit=True)
-        with pytest.raises(ValueError, match="fused"):
-            qnet.fused_plan()
+        plan = qnet.fused_plan()
+        assert plan is qnet.fused_plan() and plan.engine is qnet.engine
+        x = np.random.default_rng(4).normal(size=(3, 1, 31, 20))
+        assert np.array_equal(qnet.forward(x), plan.forward(x), equal_nan=True)
+        assert qnet.poison_report() == plan.poison_report() != []
 
 
 class TestPredictFused:
     def test_predict_fused_equals_unfused(self):
         qnet = PositQuantizedNetwork(kws_cnn1(seed=5), POSIT8)
         x = np.random.default_rng(2).normal(size=(21, 1, 31, 20))
-        ref = qnet.predict(x, batch=8)
-        assert np.array_equal(qnet.predict(x, batch=8, fused=True), ref)
+        ref = np.concatenate([reference_forward(qnet.net, qnet.engine, x[s : s + 8]) for s in range(0, 21, 8)])
+        assert np.array_equal(qnet.predict(x, batch=8), ref)
 
     def test_predict_fused_workers_equals_unfused(self):
         qnet = PositQuantizedNetwork(kws_cnn1(seed=5), POSIT8)
         x = np.random.default_rng(2).normal(size=(30, 1, 31, 20))
-        ref = qnet.predict(x, batch=8)
-        got = qnet.predict(x, batch=8, workers=2, fused=True)
+        ref = np.concatenate([reference_forward(qnet.net, qnet.engine, x[s : s + 8]) for s in range(0, 30, 8)])
+        got = qnet.predict(x, batch=8, workers=2)
         assert np.array_equal(got, ref)
         assert multiprocessing.active_children() == []
 

@@ -1,12 +1,13 @@
 """Golden replay: the fused path must reproduce frozen unfused bytes.
 
 ``tests/golden/fused_posit8_mlp.npz`` holds a posit<8,0> MLP prediction
-produced by the *unfused* per-layer executors at generation time.  Every
-fused configuration — the single-process plan, the split code boundary,
-and shared-memory sharding across two workers — must reproduce those
-bytes exactly.  Pinning the bytes on disk (rather than comparing fused
-against unfused live) catches the failure mode a live comparison cannot:
-a change that alters fused and unfused numerics *together*.
+produced by the per-layer executors that preceded the compiled plan.  The
+reference semantics (:func:`reference_forward`) and every plan
+configuration — ``predict``, the single-process plan, the split code
+boundary, and shared-memory sharding across two workers — must reproduce
+those bytes exactly.  Pinning the bytes on disk (rather than comparing the
+plan against the reference live) catches the failure mode a live
+comparison cannot: a change that alters both numerics *together*.
 """
 
 from pathlib import Path
@@ -18,9 +19,10 @@ import pytest
 
 from repro.engine import ParallelRunner
 from repro.engine.fused import FusedPlan
+from repro.engine.posit_backend import PositBackend
 from repro.nn.layers import Dense, ReLU
 from repro.nn.network import Sequential
-from repro.nn.posit_inference import PositQuantizedNetwork
+from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.posit import POSIT8
 
 GOLDEN = Path(__file__).parent / "golden" / "fused_posit8_mlp.npz"
@@ -80,7 +82,7 @@ def test_fused_workers_shared_memory_matches_golden(golden, net):
     assert multiprocessing.active_children() == []
 
 
-def test_predict_fused_flag_matches_golden(golden, net):
-    qnet = PositQuantizedNetwork(net, POSIT8)
-    y = qnet.predict(golden["x"], batch=4, fused=True)
-    assert y.tobytes() == golden["y"].tobytes()
+def test_reference_matches_golden(golden, net):
+    backend = PositBackend(POSIT8)
+    outs = [reference_forward(net, backend, golden["x"][s : s + 4]) for s in range(0, 12, 4)]
+    assert np.concatenate(outs, axis=0).tobytes() == golden["y"].tobytes()
