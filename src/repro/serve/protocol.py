@@ -119,7 +119,7 @@ def _array_field(obj: dict, name: str, ndim_ok: Tuple[int, ...]) -> np.ndarray:
         arr = np.asarray(obj[name], dtype=np.float64)
     except KeyError:
         raise ProtocolError(f"missing array field {name!r}")
-    except (TypeError, ValueError) as err:
+    except (TypeError, ValueError, OverflowError) as err:
         raise ProtocolError(f"field {name!r} is not numeric: {err}")
     if arr.ndim not in ndim_ok:
         raise ProtocolError(
@@ -152,7 +152,7 @@ def parse_request(obj: dict) -> Request:
     try:
         bits = int(obj.get("bits", 8))
         es = int(obj.get("es", 2))
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):
         raise ProtocolError("'bits' and 'es' must be integers")
     if not (3 <= bits <= 32) or not (0 <= es <= 4):
         raise ProtocolError(f"unsupported format posit<{bits},{es}>")
@@ -200,10 +200,10 @@ def parse_request(obj: dict) -> Request:
     if deadline_ms is not None:
         try:
             req.attrs["deadline_ms"] = float(deadline_ms)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ProtocolError("'deadline_ms' must be a number")
-        if req.attrs["deadline_ms"] <= 0:
-            raise ProtocolError("'deadline_ms' must be positive")
+        if not 0 < req.attrs["deadline_ms"] < float("inf"):
+            raise ProtocolError("'deadline_ms' must be positive and finite")
     return req
 
 

@@ -227,6 +227,14 @@ class TestMalformedNeverCrashes:
             b"{\n",
             b'{"id": 1}\n',
             b"\xff\xfe\x00\x01",
+            b'{"id": "0", "workload": "approx_matmul", "bits": Infinity,'
+            b' "a": [[0.0]], "b": [[0.0]]}\n',
+            b'{"id": "0", "workload": "posit_matmul", "deadline_ms": 1'
+            + b"0" * 400
+            + b', "a": [[1.0]], "b": [[1.0]]}\n',
+            b'{"id": "0", "workload": "posit_matmul", "a": [[1'
+            + b"0" * 400
+            + b']], "b": [[1.0]]}\n',
         ):
             try:
                 obj = decode_line(line)
