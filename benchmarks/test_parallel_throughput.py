@@ -54,12 +54,18 @@ def measurement(tmp_path_factory):
 
     # Parallel path: pool spawn + table flush happen in _ensure_pool on the
     # first run; warm it first so the steady-state number is what serving
-    # would see, then time a fresh run.
+    # would see, then time a fresh run.  A spawn pool starts a worker only
+    # when a task finds none idle, so the warm-up runs one chunk per worker
+    # until every worker has answered: none may start inside the timed run.
     cache_dir = tmp_path_factory.mktemp("kernel-cache")
     with ParallelRunner(
         qnet, workers=WORKERS, batch_size=BATCH, cache_dir=cache_dir
     ) as runner:
-        runner.run(x[:BATCH])  # pool + worker model warmup
+        for _ in range(20):
+            runner.run(x[: BATCH * WORKERS])
+            if len(runner.stats()["per_worker"]) == WORKERS:
+                break
+        assert len(runner.stats()["per_worker"]) == WORKERS, "a worker never started"
         runner.reset()
         t0 = time.perf_counter()
         y_par = runner.run(x)

@@ -64,8 +64,9 @@ internally (through the same fast kernels), exactly like the reference.
 
 Plans hold per-stage scratch buffers (decode targets are reused across
 calls via the codecs' ``out=`` hooks), so a plan instance is not
-thread-safe; the serving layer's single dispatch thread and one-plan-per-
-worker-process parallel sharding both satisfy that.
+thread-safe; the serving layer runs one batch at a time (on its event
+loop or its single dispatch thread) and parallel sharding keeps one plan
+per worker process, so both satisfy that.
 """
 
 from __future__ import annotations

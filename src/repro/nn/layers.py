@@ -6,6 +6,8 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.exact import blas
+
 __all__ = [
     "Param",
     "Layer",
@@ -115,7 +117,7 @@ class Dense(Layer):
 
     def forward(self, x, training=False):
         self._x = x
-        return x @ self.w.data + self.b.data
+        return blas(x, self.w.data) + self.b.data
 
     def backward(self, grad):
         self.w.grad += self._x.T @ grad
@@ -162,7 +164,7 @@ class Conv2D(Layer):
         f, c, kh, kw = self.w.data.shape
         cols, oh, ow = im2col(x, kh, kw, self.stride, self.pad)
         self._cols, self._x_shape, self._out_hw = cols, x.shape, (oh, ow)
-        out = cols @ self.w.data.reshape(f, -1).T + self.b.data
+        out = blas(cols, self.w.data.reshape(f, -1).T) + self.b.data
         return out.reshape(x.shape[0], oh, ow, f).transpose(0, 3, 1, 2)
 
     def backward(self, grad):

@@ -8,10 +8,12 @@ format) coalesce into one engine dispatch.  A batch flushes when either
   earlier when a member's deadline would otherwise expire in the queue
   (deadline trigger).
 
-Dispatch happens through an async callable the server provides (engine
-work runs on a dispatch thread so the event loop keeps accepting);
-per-request futures resolve to results or exceptions individually, so one
-poisoned request cannot fail its batch mates.
+Dispatch happens through an async callable the server provides, always
+from the batch's own task, never inside :meth:`DynamicBatcher.submit`
+(the server runs an in-process engine's batch on the event loop and any
+other executor's on a dispatch thread); per-request futures resolve to
+results or exceptions individually, so one poisoned request cannot fail
+its batch mates.
 
 The *coalescing contract* — a request's result is byte-equal whether it
 runs solo or inside any batch — is not the batcher's to enforce; it holds

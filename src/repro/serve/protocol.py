@@ -60,7 +60,8 @@ __all__ = [
 WORKLOADS = ("posit_matmul", "nn_predict", "approx_matmul")
 
 #: Hard per-request payload ceiling (elements across all arrays): a single
-#: oversized request must not be able to wedge the dispatch thread.
+#: oversized request must not be able to wedge the thread that executes
+#: batches (the event loop itself, for an in-process engine).
 MAX_ELEMENTS = 1 << 20
 
 

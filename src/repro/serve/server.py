@@ -17,12 +17,20 @@ each connection:
 
 Request lifecycle: parse → admission (bounded queue + per-tenant token
 buckets, reject-with-retry-after) → dynamic batcher (size/deadline
-coalescing) → executor on the dispatch thread → response.  **Every
-admitted request is answered exactly once** — deadline misses and engine
-failures become error responses, never silence; the zero-drop invariant
-the chaos tests pin.  Engine work never runs on the event loop: a
-single-thread dispatch executor serializes engine access (runner caches
-and kernel registries are shared state) while the loop keeps accepting.
+coalescing) → executor → response.  **Every admitted request is answered
+exactly once** — deadline misses and engine failures become error
+responses, never silence; the zero-drop invariant the chaos tests pin.
+
+Where a batch executes is decided once, from the executor the server
+built.  An in-process engine (the direct :class:`EngineExecutor`, or an
+in-process fog, with ``workers`` None or 1) runs each batch on the event
+loop itself: its work is CPU-bound Python holding the GIL, so a second
+thread would only add GIL hand-offs and context switches, not overlap.
+Batches run one at a time, each after the previous batch's responses are
+written; unread requests wait in the socket meanwhile.  An executor that
+mostly waits on other processes (a fog fabric, a ``workers > 1`` pool)
+or one passed in by the caller runs on a single-thread dispatch executor
+instead, which serializes engine access while the loop keeps accepting.
 """
 
 from __future__ import annotations
@@ -117,6 +125,9 @@ class ReproServer:
     ):
         self.config = config if config is not None else ServeConfig()
         self.metrics = metrics if metrics is not None else METRICS
+        # Run batches on the loop only for an in-process executor built
+        # here (see the module docstring); the rest keep a dispatch thread.
+        inline = executor is None and (self.config.workers or 1) <= 1
         if executor is not None:
             self.executor = executor
         elif self.config.fog_nodes:
@@ -132,6 +143,7 @@ class ReproServer:
             if self.config.fog_fabric:
                 from ..fog.fabric import FogFabric
 
+                inline = False
                 # Fabric nodes are daemonic processes and cannot spawn
                 # grandchildren, so their executors stay in-process.
                 fabric_opts = dict(executor_opts)
@@ -183,9 +195,14 @@ class ReproServer:
             metrics=self.metrics,
         )
         self._server: Optional[asyncio.AbstractServer] = None
-        self._dispatch_pool = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-serve-dispatch"
+        self._dispatch_pool = (
+            None
+            if inline
+            else ThreadPoolExecutor(
+                max_workers=1, thread_name_prefix="repro-serve-dispatch"
+            )
         )
+        self._inline_turn = asyncio.Lock()
         self._conn_tasks: set = set()
         self.started_s = time.monotonic()
         #: The zero-drop ledger: every admit must land one response.
@@ -227,7 +244,8 @@ class ReproServer:
             await asyncio.gather(*list(self._conn_tasks), return_exceptions=True)
         loop = asyncio.get_running_loop()
         await loop.run_in_executor(None, self.executor.close)
-        self._dispatch_pool.shutdown(wait=True)
+        if self._dispatch_pool is not None:
+            self._dispatch_pool.shutdown(wait=True)
 
     async def __aenter__(self):
         await self.start()
@@ -349,15 +367,23 @@ class ReproServer:
             self.metrics.inc("serve.client_gone")
 
     # ------------------------------------------------------------------
-    # Dispatch (batcher -> executor thread)
+    # Dispatch (batcher -> executor, on the loop or the dispatch thread)
     # ------------------------------------------------------------------
     async def _dispatch(self, key: Tuple, requests: List[Request]) -> List[object]:
         for req in requests:
             req.attrs["batch_rows"] = sum(r.rows for r in requests)
-        loop = asyncio.get_running_loop()
-        return await loop.run_in_executor(
-            self._dispatch_pool, self.executor.execute, key, requests
-        )
+        if self._dispatch_pool is not None:
+            loop = asyncio.get_running_loop()
+            return await loop.run_in_executor(
+                self._dispatch_pool, self.executor.execute, key, requests
+            )
+        async with self._inline_turn:
+            # Batches take turns in flush order.  The previous batch
+            # resolved its requests' futures just after handing over the
+            # turn, so one yield lets those responses be written before
+            # this batch holds the loop.
+            await asyncio.sleep(0)
+            return self.executor.execute(key, requests)
 
     # ------------------------------------------------------------------
     # HTTP scrape plane

@@ -343,6 +343,31 @@ def test_pin_is_one_thread_unless_the_environment_says_otherwise():
     assert int(kept.stdout) in (2, -1)
 
 
+def test_float_layers_run_on_the_pinned_blas():
+    """A float network's Dense/Conv2D products pin BLAS like the posit
+    contractions do, instead of running on OpenBLAS's default thread pool."""
+    import os
+    import subprocess
+    import sys
+
+    import repro
+
+    code = (
+        "import numpy as np\n"
+        "from repro.engine.exact import pin_blas, stats\n"
+        "from repro.nn.zoo import kws_cnn1\n"
+        "kws_cnn1(seed=0).forward(np.zeros((2, 1, 31, 20)))\n"
+        "print(stats()['blas_threads'], pin_blas())\n"
+    )
+    env = {k: v for k, v in os.environ.items() if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(repro.__file__))
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    after_forward, pinned = (int(v) for v in out.stdout.split())
+    if pinned == -1:
+        pytest.skip("numpy's BLAS is not OpenBLAS")
+    assert after_forward == 1
+
+
 def test_describe_reports_static_weight_spans():
     plan = PositQuantizedNetwork(kws_cnn1(seed=0), STD_POSIT8).fused_plan()
     spans = {d["name"]: d for d in plan.describe() if d["kind"] in ("conv", "dense")}

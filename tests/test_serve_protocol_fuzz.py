@@ -242,6 +242,24 @@ class TestMalformedNeverCrashes:
                 continue
             assert_rejects_cleanly(obj)
 
+    @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity", "0", "-5"])
+    def test_deadline_must_be_positive_and_finite(self, value):
+        """A NaN deadline never expires and an infinite one is no deadline:
+        both are rejected, like zero and negative ones."""
+        line = (
+            '{"id": "d", "workload": "posit_matmul", "deadline_ms": %s,'
+            ' "a": [[1.0]], "b": [[1.0]]}\n' % value
+        ).encode()
+        with pytest.raises(ProtocolError, match="deadline_ms"):
+            parse_request(decode_line(line))
+
+    def test_finite_positive_deadline_accepted(self):
+        line = (
+            b'{"id": "d", "workload": "posit_matmul", "deadline_ms": 0.5,'
+            b' "a": [[1.0]], "b": [[1.0]]}\n'
+        )
+        assert parse_request(decode_line(line)).attrs["deadline_ms"] == 0.5
+
     def test_oversized_rejected_with_code(self):
         cols = MAX_ELEMENTS // 4 + 1
         with pytest.raises(ProtocolError) as exc:

@@ -10,6 +10,7 @@ requests against a crash-injected worker pool, with the zero-drop ledger
 
 import asyncio
 import json
+import threading
 import time
 
 import numpy as np
@@ -245,6 +246,96 @@ class TestAdmissionOverWire:
             assert metrics.counters["serve.deadline_exceeded"] == 1
 
         run(go())
+
+
+# ----------------------------------------------------------------------
+# Where a batch executes: on the event loop or on the dispatch thread
+# ----------------------------------------------------------------------
+def record_execute(server, log):
+    """Log ``(thread, responses written so far)`` as each batch executes."""
+    execute = server.executor.execute
+
+    def recording(key, requests):
+        log.append((threading.get_ident(), server.responded))
+        return execute(key, requests)
+
+    server.executor.execute = recording
+
+
+class TestDispatchPlacement:
+    @pytest.mark.parametrize(
+        "opts, inject, on_loop",
+        [
+            ({}, False, True),
+            ({"fog_nodes": 2}, False, True),
+            ({"fog_nodes": 2, "fog_fabric": True}, False, False),
+            ({"workers": 2}, False, False),
+            ({}, True, False),
+        ],
+        ids=["direct", "fog", "fabric", "workers", "injected"],
+    )
+    def test_in_process_executors_run_on_the_loop(self, opts, inject, on_loop):
+        """Batches of an in-process executor the server built run on the
+        event loop; a fabric, a worker pool or an injected executor keeps
+        the dispatch thread."""
+
+        async def go():
+            metrics = Metrics()
+            executor = EngineExecutor(metrics=metrics) if inject else None
+            # No deadline: a fabric node booting on a busy host is slow.
+            config = ServeConfig(default_deadline_ms=None, **opts)
+            async with ReproServer(config, executor=executor, metrics=metrics) as server:
+                if opts.get("fog_fabric"):
+                    assert server.executor.topology.wait_all_serving(timeout_s=30.0)
+                log = []
+                record_execute(server, log)
+                async with await ServeClient.connect(*server.address) as client:
+                    resp = await client.request(
+                        workload="posit_matmul", a=[[1.0]], b=[[2.0]]
+                    )
+                has_pool = server._dispatch_pool is not None
+            return resp, log, has_pool
+
+        loop_thread = threading.get_ident()  # asyncio.run uses this thread
+        resp, log, has_pool = run(go())
+        assert resp["ok"] and resp["result"] == [[2.0]]
+        assert len(log) == 1
+        assert (log[0][0] == loop_thread) is on_loop
+        assert has_pool is not on_loop, "the dispatch pool exists iff used"
+
+    def test_a_batch_is_answered_before_the_next_executes(self):
+        """Two batch keys flushed in the same loop step: the first batch's
+        response is written before the second batch starts executing."""
+
+        async def go():
+            # Neither request flushes on its own; the drain flushes both.
+            config = ServeConfig(max_delay_ms=60_000.0, default_deadline_ms=None)
+            async with ReproServer(config, metrics=Metrics()) as server:
+                log = []
+                record_execute(server, log)
+                async with await ServeClient.connect(*server.address) as client:
+                    requests = [
+                        asyncio.create_task(
+                            client.request(
+                                workload="posit_matmul", a=[[1.0]], b=[[2.0]]
+                            )
+                        ),
+                        asyncio.create_task(
+                            client.request(
+                                workload="approx_matmul", mult="exact",
+                                a=[[3]], b=[[4]],
+                            )
+                        ),
+                    ]
+                    while server.batcher.stats()["pending_requests"] < 2:
+                        await asyncio.sleep(0.005)
+                    await server.batcher.drain()
+                    replies = await asyncio.gather(*requests)
+            return log, replies
+
+        log, replies = run(go())
+        assert [r["result"] for r in replies] == [[[2.0]], [[12]]]
+        assert [responded for _, responded in log] == [0, 1]
 
 
 # ----------------------------------------------------------------------
