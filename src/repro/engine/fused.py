@@ -339,6 +339,12 @@ class _FaultStage(FusedStage):
         return self.fault_plan.corrupt_activations(x, self.backend, self.name)
 
 
+def _tally_poison(report: Dict[int, dict], layer: int, name: str, nonfinite: int, elements: int) -> None:
+    entry = report.setdefault(layer, {"layer": layer, "name": name, "nonfinite": 0, "elements": 0})
+    entry["nonfinite"] += nonfinite
+    entry["elements"] += elements
+
+
 class _PoisonStage(FusedStage):
     """Poison audit after one layer: counts its non-finite (NaR-decoded
     NaN / inf) elements into the plan's report, the ``poison.nonfinite``
@@ -354,11 +360,7 @@ class _PoisonStage(FusedStage):
 
     def run(self, x: np.ndarray) -> np.ndarray:
         bad = nonfinite_count(x)
-        entry = self.report.setdefault(
-            self.layer, {"layer": self.layer, "name": self.name, "nonfinite": 0, "elements": 0}
-        )
-        entry["nonfinite"] += bad
-        entry["elements"] += int(x.size)
+        _tally_poison(self.report, self.layer, self.name, bad, int(x.size))
         if bad:
             METRICS.inc("poison.nonfinite", bad)
             if TRACER.enabled:
@@ -516,6 +518,12 @@ class FusedPlan:
 
     def reset_poison(self) -> None:
         self._poison.clear()
+
+    def merge_poison(self, entries: List[dict]) -> None:
+        """Fold another process's :meth:`poison_report` entries into this
+        plan's report (how parallel workers' audits reach the parent)."""
+        for e in entries:
+            _tally_poison(self._poison, e["layer"], e["name"], e["nonfinite"], e["elements"])
 
     # ------------------------------------------------------------------
     # Introspection

@@ -14,8 +14,7 @@ instead of being rebuilt per worker: the parent flushes its resident
 tables (:meth:`KernelRegistry.flush_to_disk`), and each worker's
 process-wide registry is pointed at the same directory during pool
 initialization, so worker-side backend construction *loads* prebuilt
-tables (``disk_loads`` ticks up) rather than re-running the
-O(4**nbits) scalar builders.
+tables (``disk_loads`` ticks up) rather than building them again.
 
 Robustness: a worker crash (``BrokenProcessPool``) or per-task timeout
 degrades gracefully in stages — failed chunks are first *retried* on the
@@ -84,7 +83,7 @@ import numpy as np
 from .backend import OpCounters
 from .fused import FusedPlan
 from .kernels import lut_matmul, shard_rows
-from .observe import TRACER
+from .observe import METRICS, TRACER
 from .posit_backend import PositBackend
 from .registry import REGISTRY, KernelRegistry
 
@@ -188,26 +187,40 @@ def _worker_run(idx: int, chunk: np.ndarray, batch_size: int, attempt: int = 0):
                 outs.append(model.forward(batch))
         out = np.concatenate(outs, axis=0)
     wall = time.perf_counter() - t0
+    return idx, out, _chunk_stats(model, len(chunk), batch_size, wall)
 
-    # Ship per-chunk counter/metric *deltas* (snapshot then clear) so the
-    # parent can merge them without double counting across chunks.  The
-    # trace buffer is drained the same way: span events recorded in this
-    # worker ride home with the chunk and land in the parent's ring buffer.
+
+def _chunk_stats(model, items: int, batch_size: int, wall: float) -> Dict[str, object]:
+    """What a worker ships home with each chunk.
+
+    Counters, the process-wide ``METRICS`` and the model's poison report
+    (if it audits) go as *deltas* — snapshot, then clear — so the parent
+    can merge them without double counting across chunks.  The trace
+    buffer is drained the same way: span events recorded in this worker
+    ride home with the chunk and land in the parent's ring buffer.
+    """
     counters = getattr(getattr(model, "engine", None), "counters", None)
     metrics = counters.metrics.snapshot() if counters is not None else {}
     if counters is not None:
         counters.metrics.clear()
-    stats = {
+    global_metrics = METRICS.snapshot()
+    METRICS.clear()
+    poison = []
+    if hasattr(model, "poison_report"):
+        poison = model.poison_report()
+        model.reset_poison()
+    return {
         "pid": os.getpid(),
-        "items": int(len(chunk)),
-        "batches": math.ceil(len(chunk) / batch_size),
+        "items": int(items),
+        "batches": math.ceil(items / batch_size),
         "wall_s": wall,
         "ops": metrics.get("ops", {}),
         "metrics": metrics,
+        "global_metrics": global_metrics,
+        "poison": poison,
         "trace": TRACER.drain() if TRACER.enabled else [],
         "table": REGISTRY.stats(),  # cumulative for this worker process
     }
-    return idx, out, stats
 
 
 def _attach_fused_shm(meta: Dict[str, dict]) -> Tuple[np.ndarray, np.ndarray]:
@@ -267,21 +280,7 @@ def _fused_worker_run(
             with TRACER.span("worker.batch", shape=(stop - start,)):
                 out[start:stop] = model.forward_codes(codes[start:stop])
     wall = time.perf_counter() - t0
-    counters = getattr(getattr(model, "engine", None), "counters", None)
-    metrics = counters.metrics.snapshot() if counters is not None else {}
-    if counters is not None:
-        counters.metrics.clear()
-    stats = {
-        "pid": os.getpid(),
-        "items": int(e - s),
-        "batches": math.ceil((e - s) / batch_size),
-        "wall_s": wall,
-        "ops": metrics.get("ops", {}),
-        "metrics": metrics,
-        "trace": TRACER.drain() if TRACER.enabled else [],
-        "table": REGISTRY.stats(),
-    }
-    return idx, True, stats
+    return idx, True, _chunk_stats(model, e - s, batch_size, wall)
 
 
 def _matmul_init(lut: np.ndarray, b_idx: np.ndarray, chunk: int, dtype) -> None:
@@ -790,6 +789,9 @@ class ParallelRunner:
             self.counters.metrics.merge(metrics)
         else:
             self.counters.merge(wstats["ops"])
+        METRICS.merge(wstats.get("global_metrics", {}))
+        if wstats.get("poison"):
+            self._model().merge_poison(wstats["poison"])
         TRACER.absorb(wstats.get("trace", ()))
 
     # ------------------------------------------------------------------

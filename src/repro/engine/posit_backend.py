@@ -2,9 +2,11 @@
 
 Three op strategies, chosen per format width:
 
-* ``pairwise`` (default for <= 8 bits): exhaustive 2-D behaviour tables
-  built from the bit-exact scalar :class:`repro.posit.value.Posit` model —
-  ground truth by construction, one fancy index per elementwise op.
+* ``pairwise`` (default for <= 8 bits): exhaustive 2-D behaviour tables,
+  one fancy index per elementwise op.  They are built by the via-float
+  rule below over every code pair (a 256x256 pair in a few ms) and pinned
+  byte for byte to the scalar :class:`repro.posit.value.Posit` model by
+  the tests.
 * ``via-float`` (9..16 bits, where a pairwise table would be >= 4 GiB):
   decode codes to their exact float64 values, compute in float64, and
   re-encode through the codec's correctly rounded grid search.  This is

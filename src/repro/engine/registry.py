@@ -1,10 +1,11 @@
 """Process-wide kernel registry: build each format's tables exactly once.
 
-Behaviour tables are expensive to build (O(4**nbits) scalar operations for
-a pairwise table) but tiny to store (a 256x256 uint8 pair is 128 KiB), so
-the registry memoizes construction per format key and can optionally
-persist the arrays as ``.npz`` files so tables build once per *machine*,
-not once per process.
+Kernel tables are built with bit-parallel numpy kernels, a few thousand
+lanes at a time: every served posit table (the 2**16-entry decode values,
+a 256x256 add/mul pair, the 2**21-entry encode LUT) builds in tens of
+milliseconds.  The registry memoizes construction per format key and can
+optionally persist the arrays as ``.npz`` files, so parallel workers
+*load* what their parent built instead of repeating the work.
 
 Disk persistence is opt-in: set the ``REPRO_ENGINE_CACHE`` environment
 variable to a directory, call :func:`enable_disk_cache`, or construct a
@@ -31,7 +32,7 @@ from typing import Callable, Dict, Optional, Set
 import numpy as np
 
 from ..posit.format import PositFormat
-from ..posit.tensor import PositCodec, PositTable
+from ..posit.tensor import TABLE_BUILD_CHUNK, PositCodec, PositTable
 from .observe import METRICS, TRACER
 
 __all__ = [
@@ -432,7 +433,7 @@ def get_codec(fmt: PositFormat, registry: Optional[KernelRegistry] = None) -> Po
 
     Keyed by ``(nbits, es)``: every ``PositQuantizedNetwork`` and posit
     backend constructed for the same format reuses one codec (and its
-    sorted value tables) instead of re-running the scalar decode loop.
+    sorted value tables) instead of decoding them again.
     """
     reg = registry if registry is not None else REGISTRY
     key = ("posit", fmt.nbits, fmt.es, "codec")
@@ -523,7 +524,8 @@ def get_encode_table(
     Indexed by ``key = (bits >> 44) << 1 | (low 44 bits != 0)`` of the
     float64 bit pattern; the entry is exactly
     ``get_codec(fmt).encode(x)`` for every double mapping to that key
-    (built by encoding one representative per key through the codec, so
+    (built by encoding one representative per key through the codec —
+    one per (sign, exponent) row where the whole row rounds alike — so
     parity with the baseline encoder holds by construction plus the
     boundary argument above).  Registry-memoized and ``.npz``-cacheable
     like every other kernel table — this is the table the CI kernel-cache
@@ -541,15 +543,34 @@ def get_encode_table(
     # (itself a registry entry) must not be fetched from inside build().
     codec = get_codec(fmt, reg)
 
-    def build() -> Dict[str, np.ndarray]:
-        keys = np.arange(nkey, dtype=np.uint64)
+    def encode_keys(keys: np.ndarray) -> np.ndarray:
         top = keys >> np.uint64(1)
         sticky = keys & np.uint64(1)
         # Representative double per key: kept bits verbatim, sticky classes
         # get one tail bit set (any nonzero tail rounds identically).
         rep_bits = (top << np.uint64(52 - f)) | (sticky << np.uint64(52 - f - 1))
-        reps = rep_bits.view(np.float64)
-        return {"encode": codec.encode(reps).astype(np.uint8)}
+        return codec.encode(rep_bits.view(np.float64)).astype(np.uint8)
+
+    def build() -> Dict[str, np.ndarray]:
+        # A row is every key sharing one (sign, exponent).  Outside the
+        # format's scale range every double of a row rounds to the same
+        # code (minpos, maxpos or NaR), so each row starts as its first
+        # key's code; only the subnormal rows (zero vs minpos) and the rows
+        # within 2 of the scale range are encoded key by key.
+        row = 1 << (f + 1)
+        rows = np.arange(1 << 12, dtype=np.uint64)
+        table = np.repeat(encode_keys(rows * np.uint64(row)), row)
+        scale = np.arange(1 << 11) - 1023
+        band = np.flatnonzero(
+            (scale == -1023) | ((scale >= fmt.min_scale - 2) & (scale <= fmt.max_scale + 2))
+        ).astype(np.uint64)
+        full = np.concatenate([band, band + np.uint64(1 << 11)])  # both signs
+        step = max(1, TABLE_BUILD_CHUNK // row)
+        lane = np.arange(row, dtype=np.uint64)
+        for i in range(0, len(full), step):
+            keys = (full[i : i + step, None] * np.uint64(row) + lane).ravel()
+            table[keys] = encode_keys(keys)
+        return {"encode": table}
 
     def valid(tables: Dict[str, np.ndarray]) -> bool:
         table = tables.get("encode")

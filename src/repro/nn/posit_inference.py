@@ -143,6 +143,9 @@ class PositQuantizedNetwork:
     def reset_poison(self) -> None:
         self._plan.reset_poison()
 
+    def merge_poison(self, entries: List[dict]) -> None:
+        self._plan.merge_poison(entries)
+
     def fused_plan(self) -> FusedPlan:
         """The compiled plan this network runs (compiled once, in the
         constructor, against this network's own backend)."""

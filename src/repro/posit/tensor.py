@@ -13,9 +13,12 @@ giving bulk posit arithmetic at numpy speed, plus quire-backed exact dot
 products.  :class:`PositTable8` is the 8-bit specialization kept for
 backward compatibility.
 
-Table construction is O(4**nbits) scalar posit operations; build once and
-reuse.  :mod:`repro.engine.registry` memoizes construction per format and
-can persist the tables to disk.
+Tables are built with the bit-parallel field-extraction decode of
+:mod:`repro.posit.vector` and this module's own correctly rounded
+``encode``, a few thousand lanes at a time; the scalar
+:class:`~repro.posit.value.Posit` model is their test oracle, not their
+builder.  :mod:`repro.engine.registry` memoizes construction per format
+and can persist the tables to disk.
 """
 
 from __future__ import annotations
@@ -24,11 +27,27 @@ from typing import Optional, Tuple
 
 import numpy as np
 
+from . import vector as pvec
 from .format import PositFormat
 from .quire import Quire
 from .value import Posit
 
 __all__ = ["PositCodec", "PositTable", "PositTable8"]
+
+#: Lanes per table-build step (here and in the registry's encode LUT).
+#: The bit-parallel kernels allocate about a dozen temporaries per lane, so
+#: building a 2**16-entry table in one shot would raise a server's peak
+#: RSS by several MB for no gain in speed.
+TABLE_BUILD_CHUNK = 4096
+
+
+def _decode_chunked(fmt: PositFormat, codes: np.ndarray) -> np.ndarray:
+    """Exact float64 values of ``codes`` (NaR -> NaN), in build chunks."""
+    out = np.empty(len(codes), dtype=np.float64)
+    for s in range(0, len(codes), TABLE_BUILD_CHUNK):
+        e = s + TABLE_BUILD_CHUNK
+        pvec.vector_decode(fmt, codes[s:e], out=out[s:e])
+    return out
 
 
 def _validate_posit_format(fmt, max_nbits: int = 16) -> None:
@@ -37,7 +56,7 @@ def _validate_posit_format(fmt, max_nbits: int = 16) -> None:
     :class:`PositFormat` itself validates on construction, but these
     classes accept any duck-typed descriptor with ``nbits``/``es``; a bad
     one used to surface as an opaque failure deep inside the O(4**nbits)
-    build loops.
+    table builds.
     """
     nbits = getattr(fmt, "nbits", None)
     es = getattr(fmt, "es", None)
@@ -59,8 +78,10 @@ def _validate_posit_format(fmt, max_nbits: int = 16) -> None:
 class PositCodec:
     """Bulk encode/decode between float arrays and posit codes.
 
-    ``values`` and ``boundaries`` may be prebuilt tables (e.g. loaded from
-    the engine's kernel cache) to skip the scalar construction loops.
+    ``values`` (every code's value) and ``boundaries`` (the rounding
+    boundaries) are decoded bit-parallel, a few milliseconds even at 16
+    bits; prebuilt tables (e.g. loaded from the engine's kernel cache) may
+    be passed instead.
     """
 
     def __init__(
@@ -75,10 +96,7 @@ class PositCodec:
 
         if values is None:
             #: value of every code; NaR gets NaN.
-            values = np.empty(n, dtype=np.float64)
-            for pattern in range(n):
-                p = Posit(fmt, pattern)
-                values[pattern] = np.nan if p.is_nar() else p.to_float()
+            values = _decode_chunked(fmt, np.arange(n, dtype=np.int64))
         else:
             values = np.asarray(values, dtype=np.float64)
             if values.shape != (n,):
@@ -114,15 +132,11 @@ class PositCodec:
         every format this codec supports.
         """
         fmt = self.fmt
-        ext = PositFormat(fmt.nbits + 1, fmt.es)
         n = 1 << fmt.nbits
-        half = n >> 1
+        codes = self._sorted_codes[:-1]
+        keys = codes - n * (codes >= (n >> 1))  # two's-complement order
         ext_mask = (1 << (fmt.nbits + 1)) - 1
-        bounds = np.empty(len(self._sorted_codes) - 1, dtype=np.float64)
-        for i, code in enumerate(self._sorted_codes[:-1]):
-            key = int(code) - (n if code >= half else 0)  # two's-complement order
-            bounds[i] = Posit(ext, (2 * key + 1) & ext_mask).to_float()
-        return bounds
+        return _decode_chunked(PositFormat(fmt.nbits + 1, fmt.es), (2 * keys + 1) & ext_mask)
 
     # ------------------------------------------------------------------
     def decode(self, codes: np.ndarray) -> np.ndarray:
@@ -175,13 +189,17 @@ class PositTable:
     """Exhaustive-table arithmetic for a narrow posit format.
 
     ``add`` and ``mul`` operate elementwise on code arrays through
-    ``2**nbits x 2**nbits`` behaviour tables (built once from the bit-exact
-    scalar model); ``dot`` runs an exact quire per output element.
+    ``2**nbits x 2**nbits`` behaviour tables; ``dot`` runs an exact quire
+    per output element.  Each entry is ``codec.encode(x op y)`` over the
+    exact float64 values: products of two <= 16-bit posits are exact in
+    float64, and a sum is inexact only when the operand scales differ by
+    more than ~40, far past where the posit rounding decision lies — so
+    the tables are bit-exact with the scalar model (which the tests check).
 
     ``tables`` may be a prebuilt ``(add_table, mul_table)`` pair (e.g. from
-    the engine's kernel cache) to skip the O(4**nbits) construction loop.
-    ``max_bits`` guards against accidentally requesting a table build that
-    would take hours (12 bits is already 16.7M scalar operation pairs).
+    the engine's kernel cache) to skip the O(4**nbits) build.  ``max_bits``
+    guards against accidentally requesting a table that would not fit in
+    memory (at 12 bits the pair is 64 MiB, at 16 bits 16 GiB).
     """
 
     def __init__(
@@ -208,17 +226,14 @@ class PositTable:
             if self.add_table.shape != (n, n) or self.mul_table.shape != (n, n):
                 raise ValueError(f"prebuilt tables must have shape ({n}, {n})")
             return
-        posits = [Posit(fmt, p) for p in range(n)]
+        values = self.codec.values
         self.add_table = np.empty((n, n), dtype=dtype)
         self.mul_table = np.empty((n, n), dtype=dtype)
-        for i, a in enumerate(posits):
-            for j in range(i, n):
-                s = (a + posits[j]).pattern
-                m = (a * posits[j]).pattern
-                self.add_table[i, j] = s
-                self.add_table[j, i] = s  # both ops commute
-                self.mul_table[i, j] = m
-                self.mul_table[j, i] = m
+        rows = max(1, TABLE_BUILD_CHUNK // n)
+        for r in range(0, n, rows):
+            a = values[r : r + rows, None]
+            self.add_table[r : r + rows] = self.codec.encode(a + values)
+            self.mul_table[r : r + rows] = self.codec.encode(a * values)
 
     def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Elementwise correctly rounded posit addition on code arrays."""

@@ -43,6 +43,7 @@ from .format import PositFormat
 
 __all__ = [
     "MAX_WIDE_NBITS",
+    "check_decode_format",
     "check_wide_format",
     "vector_decode_fields",
     "vector_decode",
@@ -61,6 +62,10 @@ MAX_WIDE_NBITS = 32
 #: for the widest significands the add kernel produces.
 _MAX_WIDE_ES = 3
 
+#: Largest ``log2(maxpos)`` decode accepts: every value of such a format
+#: (minpos = 2**-max_scale included) is an exact float64.
+_MAX_DECODE_SCALE = 1023
+
 #: Guard bits appended to the larger addend before alignment; the smaller
 #: operand's shifted-out tail is folded into a sticky bit.
 _GUARD_BITS = 32
@@ -70,14 +75,29 @@ _ONE = np.int64(1)
 
 def check_wide_format(fmt: PositFormat) -> None:
     """Reject formats whose intermediates would overflow an int64 lane."""
+    check_decode_format(fmt)
+    if fmt.es > _MAX_WIDE_ES:
+        raise ValueError(
+            f"wide posit kernels support es <= {_MAX_WIDE_ES}, got {fmt}"
+        )
+
+
+def check_decode_format(fmt: PositFormat) -> None:
+    """Reject formats decode cannot represent exactly in float64.
+
+    Decode only extracts fields, so it needs neither the add kernel's
+    ``es`` bound nor its guard-bit headroom: any ``es`` whose values stay
+    inside float64's exponent range decodes exactly.
+    """
     if fmt.nbits > MAX_WIDE_NBITS:
         raise ValueError(
             f"wide posit kernels support at most {MAX_WIDE_NBITS}-bit formats, "
             f"got {fmt}"
         )
-    if fmt.es > _MAX_WIDE_ES:
+    if fmt.max_scale > _MAX_DECODE_SCALE:
         raise ValueError(
-            f"wide posit kernels support es <= {_MAX_WIDE_ES}, got {fmt}"
+            f"posit decode needs values exact in float64 (max_scale <= "
+            f"{_MAX_DECODE_SCALE}), got {fmt}"
         )
 
 
@@ -112,7 +132,7 @@ def _decode_fields_raw(fmt: PositFormat, codes: np.ndarray):
     callers override; ``mag`` is the two's-complement magnitude pattern.
     All returned arrays are freshly allocated (callers may mutate them).
     """
-    check_wide_format(fmt)
+    check_decode_format(fmt)
     nbits, es = fmt.nbits, fmt.es
     word = np.int64((1 << nbits) - 1)
     codes = np.asarray(codes, dtype=np.int64) & word
@@ -377,6 +397,7 @@ def mul_codes(fmt: PositFormat, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     exactly, so there is a single rounding — float64 round-tripping would
     double-round at 32 bits.
     """
+    check_wide_format(fmt)
     sa, ma, ea, za, naa, _ = _decode_fields_raw(fmt, a)
     sb, mb, eb, zb, nab, _ = _decode_fields_raw(fmt, b)
     sa ^= sb

@@ -381,6 +381,37 @@ class TestParallelStats:
         assert stats["ops"]["fused.decode"]["elements"] > 0  # decodes run only on workers
         assert stats["ops"]["matmul[values]"]["calls"] > 0
 
+    @pytest.mark.parametrize("shared_memory", [True, False], ids=["fused", "pickled"])
+    def test_poison_audit_comes_home_from_workers(self, tmp_path, shared_memory):
+        """Workers ship their poison entries and ``METRICS`` delta home: the
+        parent's report and ``poison.nonfinite`` delta equal in-process."""
+        from repro.engine.observe import METRICS
+
+        x = np.random.default_rng(26).normal(size=(16, 1, 31, 20))
+        x[::2, 0, :4] = np.nan
+
+        def audited():
+            return PositQuantizedNetwork(kws_cnn1(seed=3), POSIT8, poison_audit=True)
+
+        solo = audited()
+        before = METRICS.counters.get("poison.nonfinite", 0)
+        expected = solo.predict(x, batch=4)
+        solo_delta = METRICS.counters.get("poison.nonfinite", 0) - before
+
+        qnet = audited()
+        model = qnet.fused_plan() if shared_memory else qnet
+        before = METRICS.counters.get("poison.nonfinite", 0)
+        with ParallelRunner(model, workers=2, batch_size=4, cache_dir=tmp_path) as runner:
+            out = runner.run(x)
+            stats = runner.stats()
+        delta = METRICS.counters.get("poison.nonfinite", 0) - before
+
+        assert stats["fallbacks"] == 0 and len(stats["per_worker"]) >= 1
+        assert out.tobytes() == expected.tobytes()
+        assert solo.poison_report() and solo_delta > 0
+        assert qnet.poison_report() == solo.poison_report()
+        assert delta == solo_delta
+
     def test_reset_clears_everything(self):
         model = TinyModel(seed=22)
         rng = np.random.default_rng(23)
