@@ -81,7 +81,7 @@ def _best_wall(fn, x) -> float:
 
 
 @pytest.fixture(scope="module")
-def measurement(tmp_path_factory):
+def measurement():
     net = kws_cnn1(seed=0)
     qnet = PositQuantizedNetwork(net, FMT)
     plan = qnet.fused_plan()
@@ -102,10 +102,7 @@ def measurement(tmp_path_factory):
     fused_wall = _best_wall(fused.run, x)
 
     # Fused, multi-worker: codes through shared memory, outputs in place.
-    cache_dir = tmp_path_factory.mktemp("kernel-cache")
-    with ParallelRunner(
-        plan, workers=WORKERS, batch_size=BATCH, cache_dir=cache_dir
-    ) as runner:
+    with ParallelRunner(plan, workers=WORKERS, batch_size=BATCH) as runner:
         runner.run(x[:BATCH])  # pool spawn + worker compile warmup
         y_par = runner.run(x)
         assert np.array_equal(y_par, y_ref), "fused parallel diverged"

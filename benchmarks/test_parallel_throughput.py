@@ -1,8 +1,7 @@
 """Throughput: multi-worker sharded inference vs the single-process runner.
 
 The parallel layer (:mod:`repro.engine.parallel`) shards batches across a
-spawn process pool whose workers load prebuilt kernel tables from the
-registry's disk cache.  Because chunk boundaries stay batch-aligned and
+spawn process pool whose workers build their own kernel tables.  Because chunk boundaries stay batch-aligned and
 each worker runs the exact micro-batches the single-process
 :class:`BatchedRunner` would, the output is **bit-identical** — so this
 benchmark is pure execution efficiency, like ``test_engine_throughput``.
@@ -31,7 +30,7 @@ REPO_ROOT = Path(__file__).resolve().parent.parent
 FMT = POSIT8
 ITEMS = 192
 BATCH = 16
-# Always use >= 2 workers so the sharded path (pool + disk-cache loads) is
+# Always use >= 2 workers so the sharded path (pool + worker table builds) is
 # what gets measured, even on single-core hosts where it can't win.
 WORKERS = max(2, min(4, os.cpu_count() or 1))
 MULTI_CORE = (os.cpu_count() or 1) >= 4
@@ -39,7 +38,7 @@ SPEEDUP_BAR = 2.5
 
 
 @pytest.fixture(scope="module")
-def measurement(tmp_path_factory):
+def measurement():
     net = kws_cnn1(seed=0)
     qnet = PositQuantizedNetwork(net, FMT)
     rng = np.random.default_rng(42)
@@ -52,15 +51,12 @@ def measurement(tmp_path_factory):
     y_single = single.run(x)
     sstats = single.stats()
 
-    # Parallel path: pool spawn + table flush happen in _ensure_pool on the
+    # Parallel path: pool spawn and the workers' table builds happen on the
     # first run; warm it first so the steady-state number is what serving
     # would see, then time a fresh run.  A spawn pool starts a worker only
     # when a task finds none idle, so the warm-up runs one chunk per worker
     # until every worker has answered: none may start inside the timed run.
-    cache_dir = tmp_path_factory.mktemp("kernel-cache")
-    with ParallelRunner(
-        qnet, workers=WORKERS, batch_size=BATCH, cache_dir=cache_dir
-    ) as runner:
+    with ParallelRunner(qnet, workers=WORKERS, batch_size=BATCH) as runner:
         for _ in range(20):
             runner.run(x[: BATCH * WORKERS])
             if len(runner.stats()["per_worker"]) == WORKERS:
@@ -92,7 +88,6 @@ def measurement(tmp_path_factory):
         "bar_asserted": MULTI_CORE,
         "bit_identical": True,
         "fallbacks": pstats["fallbacks"],
-        "table_disk_loads": pstats["table_disk_loads"],
         "per_worker": [
             {"pid": w["pid"], "items": w["items"], "items_per_s": w["items_per_s"]}
             for w in pstats["per_worker"]
@@ -120,7 +115,6 @@ def test_parallel_throughput(benchmark, measurement, report):
             f"parallel       {m['parallel_items_per_s']:10.2f} items/s",
             f"speedup        {m['speedup']:10.2f}x  (bar >= {SPEEDUP_BAR}x, {bar_note})",
             f"bit-identical  {m['bit_identical']}",
-            f"disk loads     {m['table_disk_loads']} (workers reused cached tables)",
         ],
     )
     (REPO_ROOT / "BENCH_parallel.json").write_text(json.dumps(m, indent=2) + "\n")

@@ -1,12 +1,13 @@
 """repro.engine — vectorized, format-agnostic arithmetic execution engine.
 
 The edge-inference pitch of Sections IV-V, made fast: every <= 16-bit
-format's behaviour is precomputed into lookup tables exactly once
-(process-wide :mod:`registry <repro.engine.registry>`, optionally persisted
-to disk), and all tensor arithmetic then runs as bulk integer indexing and
-float64 re-encoding — the ApproxTrain/ProxSim architecture, generalized
-over posits, IEEE-style softfloats, LNS and approximate multipliers behind
-one :class:`Backend <repro.engine.backend.Backend>` protocol.  Wider
+format's behaviour is precomputed into lookup tables once per process
+(the process-wide :mod:`registry <repro.engine.registry>`; tables are
+never stored), and all tensor arithmetic then runs as bulk integer
+indexing and float64 re-encoding — the ApproxTrain/ProxSim architecture,
+generalized over posits, IEEE-style softfloats, LNS and approximate
+multipliers behind one :class:`Backend <repro.engine.backend.Backend>`
+protocol.  Wider
 formats (posit<32,2>, binary32) skip the tables entirely: the ``wide``
 strategy of :mod:`repro.engine.wide` decodes and encodes by bit-parallel
 field extraction on whole code arrays.
@@ -62,7 +63,6 @@ from .registry import (
     REGISTRY,
     KernelRegistry,
     array_digest,
-    enable_disk_cache,
     get_codec,
     get_encode_table,
     get_posit_tables,
@@ -104,7 +104,6 @@ __all__ = [
     "KernelRegistry",
     "REGISTRY",
     "array_digest",
-    "enable_disk_cache",
     "get_codec",
     "get_encode_table",
     "ENCODE_TABLE_TOP_BITS",

@@ -6,10 +6,11 @@ binary, so code 0 is the value zero).
 
 Multiplication and division are *exact integer adds* of exponent codes —
 fully vectorized with no tables at any width, the LNS selling point.
-Addition goes through the Gaussian logarithms: for narrow formats (<= 10
-code bits) an exhaustive pairwise table built from the scalar model; for
-wider formats a vectorized replication of the scalar ``phi+``/``phi-``
-formula (same float64 ``log2``, same halfway rounding).
+Addition goes through the Gaussian logarithms: a vectorized replication
+of the scalar ``phi+``/``phi-`` formula (same float64 ``log2``, same
+halfway rounding), tabulated over every code pair for narrow formats
+(<= 10 code bits) and run directly on wider ones.  The scalar
+:class:`repro.lns.LNS` model is the test oracle of both.
 """
 
 from __future__ import annotations
@@ -20,34 +21,13 @@ import numpy as np
 
 from ..lns.format import LNSFormat
 from ..lns.value import LNS
+from ..posit.tensor import TABLE_BUILD_CHUNK
 from .backend import OpCounters, timed_op
 from .faults import apply_code_faults
 from .kernels import pairwise_lut
 from .registry import REGISTRY, KernelRegistry
 
 __all__ = ["LNSBackend"]
-
-
-def _build_lns_tables(fmt: LNSFormat) -> dict:
-    """Value table plus pairwise add table from the scalar LNS model."""
-    n = 1 << fmt.width
-    e_bits = fmt.e_bits
-    e_mask = (1 << e_bits) - 1
-    values = np.empty(n, dtype=np.float64)
-    objs = []
-    for code in range(n):
-        sign = code >> e_bits
-        e_code = (code & e_mask) + fmt.zero_code
-        v = LNS(fmt, sign, e_code)
-        objs.append(v)
-        values[code] = v.to_float()
-    add = np.empty((n, n), dtype=np.uint8 if fmt.width <= 8 else np.uint16)
-    for i, a in enumerate(objs):
-        for j, b in enumerate(objs):  # phi- is order-sensitive only via sign
-            s = a.add(b)
-            code = 0 if s.is_zero() else (s.sign << e_bits) | ((s.e_code - fmt.zero_code) & e_mask)
-            add[i, j] = code
-    return {"values": values, "add": add}
 
 
 class LNSBackend:
@@ -73,8 +53,7 @@ class LNSBackend:
         self._code_dtype = np.uint8 if fmt.width <= 8 else np.uint16
         if fmt.width <= table_bits:
             tables = self._registry.get(
-                ("lns", fmt.int_bits, fmt.frac_bits, "tables"),
-                lambda: _build_lns_tables(fmt),
+                ("lns", fmt.int_bits, fmt.frac_bits, "tables"), self._build_tables
             )
             self.values, self.add_table = tables["values"], tables["add"]
             self.strategy = "pairwise"
@@ -90,7 +69,22 @@ class LNSBackend:
     def _fault(self, op: str, codes: np.ndarray) -> np.ndarray:
         return apply_code_faults(self.fault_plan, self.name, op, codes, self.code_bits)
 
+    def _build_tables(self) -> dict:
+        """Value table plus every pairwise sum through :meth:`_add_via_phi`.
+
+        The phi kernel is called directly, not :meth:`add`, so no op fault
+        is baked into the table; ``TABLE_BUILD_CHUNK`` lanes at a time.
+        """
+        n = 1 << self.fmt.width
+        codes = np.arange(n)
+        add = np.empty((n, n), dtype=self._code_dtype)
+        rows = max(1, TABLE_BUILD_CHUNK // n)
+        for r in range(0, n, rows):
+            add[r : r + rows] = self._add_via_phi(codes[r : r + rows, None], codes)
+        return {"values": self._build_values(), "add": add}
+
     def _build_values(self) -> np.ndarray:
+        # Scalar on purpose: np.power disagrees with the model's 2.0 ** x.
         n = 1 << self.fmt.width
         values = np.empty(n, dtype=np.float64)
         for code in range(n):

@@ -558,11 +558,6 @@ def report(
         lines.append(
             f"kernel tables  {stats.get('table_hits', 0)} hits / "
             f"{stats.get('table_misses', 0)} misses"
-            + (
-                f" / {stats['table_disk_loads']} disk loads"
-                if "table_disk_loads" in stats
-                else ""
-            )
         )
         ops = stats.get("ops", {})
         if ops:

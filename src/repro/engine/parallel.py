@@ -9,12 +9,9 @@ single-process :class:`repro.engine.runner.BatchedRunner` would have run,
 so the merged output is bit-identical to the in-process path — parallelism
 never changes the numerics, only the wall clock.
 
-Kernel tables are shared through the registry's ``.npz`` disk cache
-instead of being rebuilt per worker: the parent flushes its resident
-tables (:meth:`KernelRegistry.flush_to_disk`), and each worker's
-process-wide registry is pointed at the same directory during pool
-initialization, so worker-side backend construction *loads* prebuilt
-tables (``disk_loads`` ticks up) rather than building them again.
+Kernel tables are never shipped or stored: each worker's process-wide
+registry builds the tables its model needs (milliseconds per table), and
+the workers' registry hits and misses come home with every chunk.
 
 Robustness: a worker crash (``BrokenProcessPool``) or per-task timeout
 degrades gracefully in stages — failed chunks are first *retried* on the
@@ -70,12 +67,10 @@ from __future__ import annotations
 import math
 import os
 import pickle
-import tempfile
 import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from multiprocessing import get_context, resource_tracker, shared_memory
-from pathlib import Path
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
@@ -103,10 +98,9 @@ class FusedPlanSpec:
 
     Ships only what compile was given — the float network, format,
     contraction mode, fault plan and poison-audit flag; the worker
-    recompiles the plan against its own process-wide registry, so the
-    codec tables and the encode LUT *load* from the shared disk cache
-    instead of being rebuilt, and compiled stages (pre-encoded weights,
-    scratch buffers) never cross the process boundary.
+    recompiles the plan against its own process-wide registry, which builds
+    the codec tables and the encode LUT, so compiled stages (pre-encoded
+    weights, scratch buffers) never cross the process boundary.
     """
 
     def __init__(self, plan: FusedPlan):
@@ -150,20 +144,12 @@ _WORKER: Dict[str, object] = {}
 _PENDING = object()
 
 
-def _worker_init(
-    factory,
-    cache_dir: Optional[str],
-    trace: bool = False,
-    fault_plan=None,
-    chaos=None,
-) -> None:
-    if cache_dir is not None:
-        REGISTRY.cache_dir = Path(cache_dir)
+def _worker_init(factory, trace: bool = False, fault_plan=None, chaos=None) -> None:
     if trace:
         TRACER.enabled = True
     if fault_plan is not None:
         # Table corruption re-derives from (plan, table bytes) in this
-        # process — bit-identical to the parent's, never persisted to disk.
+        # process — bit-identical to the parent's.
         REGISTRY.fault_plan = fault_plan
     _WORKER["fault_plan"] = fault_plan
     _WORKER["chaos"] = chaos
@@ -320,10 +306,6 @@ class ParallelRunner:
             ``batch_size``.  Default: one balanced span per worker.
         mp_context: ``"spawn"`` (default, portable and deterministic) or
             ``"fork"``/``"forkserver"``.
-        cache_dir: Directory for the shared ``.npz`` table cache.  Defaults
-            to the registry's configured cache dir; if neither exists a
-            private temporary directory is created (and removed on
-            :meth:`close`).
         task_timeout: Seconds to wait for one chunk before falling back.
         task_retries: Extra pool attempts per failed chunk before the
             in-process fallback (default 1: each chunk gets two chances on
@@ -350,7 +332,6 @@ class ParallelRunner:
         batch_size: int = 64,
         chunk_size: Optional[int] = None,
         mp_context: str = "spawn",
-        cache_dir: Optional[os.PathLike] = None,
         task_timeout: Optional[float] = 120.0,
         task_retries: int = 1,
         pool_restarts: int = 1,
@@ -392,19 +373,6 @@ class ParallelRunner:
             pickle.dumps(self._factory)
         self._local_model = model  # lazily built from the factory if None
 
-        self._tmpdir: Optional[tempfile.TemporaryDirectory] = None
-        self._owns_cache_dir = False
-        if cache_dir is not None:
-            self._cache_dir: Optional[Path] = Path(cache_dir)
-        elif self._registry.cache_dir is not None:
-            self._cache_dir = Path(self._registry.cache_dir)
-        elif self.workers > 1:
-            self._tmpdir = tempfile.TemporaryDirectory(prefix="repro-engine-cache-")
-            self._cache_dir = Path(self._tmpdir.name)
-            self._owns_cache_dir = True
-        else:
-            self._cache_dir = None
-
         self._pool: Optional[ProcessPoolExecutor] = None
         #: Shared-memory segments created by fused runs and not yet
         #: released; swept by the per-run ``finally`` and re-swept by
@@ -435,17 +403,6 @@ class ParallelRunner:
         if self._broken or self.workers <= 1:
             return None
         if self._pool is None:
-            if self._owns_cache_dir and self._tmpdir is None:
-                # Reopening after close(): the private cache dir was
-                # removed, so stage a fresh one for the new pool.
-                self._tmpdir = tempfile.TemporaryDirectory(
-                    prefix="repro-engine-cache-"
-                )
-                self._cache_dir = Path(self._tmpdir.name)
-            if self._cache_dir is not None:
-                # Share whatever the parent has already built.
-                with TRACER.span("parallel.flush_tables", dir=str(self._cache_dir)):
-                    self._registry.flush_to_disk(self._cache_dir)
             with TRACER.span("parallel.pool_init", workers=self.workers):
                 self._pool = ProcessPoolExecutor(
                     max_workers=self.workers,
@@ -453,7 +410,6 @@ class ParallelRunner:
                     initializer=_worker_init,
                     initargs=(
                         self._factory,
-                        str(self._cache_dir) if self._cache_dir is not None else None,
                         TRACER.enabled,  # workers trace iff the parent does now
                         self.fault_plan,
                         self.chaos,
@@ -471,13 +427,12 @@ class ParallelRunner:
             self._pool = None
 
     def close(self) -> None:
-        """Shut the pool down and remove any private temporary cache dir.
+        """Shut the pool down and release any leftover shared memory.
 
         Idempotent, and *joins* the worker processes (``wait=True``) so a
         long-lived parent — an asyncio server cycling runners across
         restarts — never accumulates orphaned spawn children.  The runner
-        stays usable: the next :meth:`run` lazily rebuilds the pool (and a
-        fresh private cache dir, when this runner owns one).
+        stays usable: the next :meth:`run` lazily rebuilds the pool.
         """
         if self._pool is not None:
             self._pool.shutdown(wait=True, cancel_futures=True)
@@ -487,14 +442,6 @@ class ParallelRunner:
         self._dead_procs.clear()
         for seg in list(self._shm_segments):
             self._release_segment(seg)
-        if self._tmpdir is not None:
-            try:
-                self._tmpdir.cleanup()
-            except OSError:
-                pass
-            self._tmpdir = None
-            if self._owns_cache_dir:
-                self._cache_dir = None
 
     def restart(self) -> None:
         """Close the pool and reset the crash budget for a fresh start.
@@ -814,18 +761,6 @@ class ParallelRunner:
         table_misses = parent["misses"] + sum(
             t["misses"] for t in self._worker_tables.values()
         )
-        disk_loads = parent["disk_loads"] + sum(
-            t["disk_loads"] for t in self._worker_tables.values()
-        )
-        disk_writes = parent["disk_writes"] + sum(
-            t.get("disk_writes", 0) for t in self._worker_tables.values()
-        )
-        integrity_failures = parent.get("integrity_failures", 0) + sum(
-            t.get("integrity_failures", 0) for t in self._worker_tables.values()
-        )
-        disk_errors = parent.get("disk_errors", 0) + sum(
-            t.get("disk_errors", 0) for t in self._worker_tables.values()
-        )
         return {
             "items": self._items,
             "batches": self._batches,
@@ -837,10 +772,6 @@ class ParallelRunner:
             "ops": self.counters.snapshot(),
             "table_hits": table_hits,
             "table_misses": table_misses,
-            "table_disk_loads": disk_loads,
-            "table_disk_writes": disk_writes,
-            "table_integrity_failures": integrity_failures,
-            "table_disk_errors": disk_errors,
             "fallbacks": self._fallbacks,
             "fallback_causes": dict(self._fallback_causes),
             "task_retries": self._retries,

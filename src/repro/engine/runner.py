@@ -29,8 +29,8 @@ class BatchedRunner:
     :class:`repro.engine.parallel.ParallelRunner`); chunk boundaries stay
     batch-aligned, so the sharded output is bit-identical to the
     single-process path.  ``parallel_opts`` forwards extra keyword
-    arguments (``chunk_size``, ``mp_context``, ``cache_dir``,
-    ``task_timeout``, ``fallback``) to the parallel layer.
+    arguments (``chunk_size``, ``mp_context``, ``task_timeout``,
+    ``fallback``) to the parallel layer.
     """
 
     def __init__(
@@ -143,8 +143,6 @@ class BatchedRunner:
             "ops": self.counters.snapshot(),
             "table_hits": reg["hits"],
             "table_misses": reg["misses"],
-            "table_disk_writes": reg["disk_writes"],
-            "table_integrity_failures": reg.get("integrity_failures", 0),
             "metrics": self.counters.metrics.snapshot(),
         }
 

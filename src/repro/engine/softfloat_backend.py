@@ -7,14 +7,16 @@ subnormals included) and implements vectorized correctly rounded encode
 gradual underflow, signed zero).  The 20-bit table ceiling admits Intel's
 FP19 {1,8,10} DSP-block format alongside binary16/bfloat16.
 
-Elementwise ops use exhaustive pairwise tables built from the bit-exact
-scalar :class:`repro.floats.softfloat.SoftFloat` model for <= 8-bit
-formats, and the via-float strategy above that: float64 compute + one
-correctly rounded re-encode, which is bit-exact for these widths (products
+Elementwise ops use exhaustive pairwise tables for <= 8-bit formats and
+the via-float strategy above that: float64 compute + one correctly
+rounded re-encode, which is bit-exact for these widths (products
 of <= 17-bit significands are exact in float64; sums are exact whenever the
 rounding decision is in play, since a tie/midpoint case needs the operand
 exponents within ``frac_bits + 2`` of each other, where the float64 sum is
-exact — the innocuous-double-rounding regime ``53 >= 2p + 2``).
+exact — the innocuous-double-rounding regime ``53 >= 2p + 2``).  The
+pairwise tables are that same rule applied to every code pair, so they
+match the bit-exact scalar :class:`repro.floats.softfloat.SoftFloat` model
+byte for byte.
 
 Above 20 bits the value table itself stops being buildable, so the third
 strategy, ``wide``, swaps the tabulated codec for the bit-parallel
@@ -32,6 +34,7 @@ import numpy as np
 
 from ..floats.format import FloatFormat
 from ..floats.softfloat import SoftFloat
+from ..posit.tensor import TABLE_BUILD_CHUNK
 from .backend import OpCounters, timed_op
 from .faults import apply_code_faults
 from .kernels import pairwise_lut
@@ -167,23 +170,31 @@ def get_softfloat_codec(
     return reg.get_object(key, factory)
 
 
-def _build_float_pair_tables(fmt: FloatFormat) -> dict:
+def _build_float_pair_tables(codec: SoftFloatCodec) -> dict:
+    """Every add/mul result as ``codec.encode(values[a] op values[b])``.
+
+    The via-float rule of the module docstring applied to all code pairs,
+    ``TABLE_BUILD_CHUNK`` lanes at a time: one float64 op and one correctly
+    rounded encode per pair, byte-identical to the scalar
+    :class:`~repro.floats.softfloat.SoftFloat` model (its test oracle).
+    """
+    fmt = codec.fmt
     if fmt.width > _PAIRWISE_WIDTH:
         raise ValueError(
             f"pairwise tables support at most {_PAIRWISE_WIDTH}-bit formats "
             f"(a {fmt.width}-bit table would need 2**{2 * fmt.width} entries)"
         )
     n = 1 << fmt.width
-    floats = [SoftFloat(fmt, p) for p in range(n)]
-    dtype = np.uint8 if fmt.width <= 8 else np.uint16 if fmt.width <= 16 else np.uint32
+    dtype = np.uint8 if fmt.width <= 8 else np.uint16
+    values = codec.values
     add = np.empty((n, n), dtype=dtype)
     mul = np.empty((n, n), dtype=dtype)
-    for i, a in enumerate(floats):
-        for j in range(i, n):
-            s = a.add(floats[j]).pattern
-            m = a.mul(floats[j]).pattern
-            add[i, j] = add[j, i] = s  # both ops commute (canonical NaN)
-            mul[i, j] = mul[j, i] = m
+    rows = max(1, TABLE_BUILD_CHUNK // n)
+    with np.errstate(invalid="ignore"):  # inf - inf, inf * 0 -> NaN -> qNaN code
+        for r in range(0, n, rows):
+            a = values[r : r + rows, None]
+            add[r : r + rows] = codec.encode(a + values)
+            mul[r : r + rows] = codec.encode(a * values)
     return {"add": add, "mul": mul}
 
 
@@ -248,7 +259,7 @@ class SoftFloatBackend:
         if strategy == "pairwise":
             tables = self._registry.get(
                 ("float", fmt.exp_bits, fmt.frac_bits, "addmul"),
-                lambda: _build_float_pair_tables(fmt),
+                lambda: _build_float_pair_tables(self.codec),
             )
             self.add_table, self.mul_table = tables["add"], tables["mul"]
         else:

@@ -12,9 +12,9 @@ a sound content-store key: a cached result can be replayed for any later
 interest with the same name, no matter which node it enters the fog at.
 
 Input digests reuse :func:`repro.engine.registry.array_digest` — the same
-sha256-over-(dtype, shape, bytes) scheme the kernel disk cache embeds as
-its integrity digest — so tensors, kernel tables and cached results all
-live in one naming universe.
+sha256-over-(dtype, shape, bytes) scheme the kernel registry's content
+digests use — so tensors, kernel tables and cached results all live in
+one naming universe.
 """
 
 from __future__ import annotations

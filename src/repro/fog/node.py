@@ -6,8 +6,7 @@ format/model/multiplier), executes named computations for those
 capabilities through its own :class:`repro.serve.executor.EngineExecutor`,
 and keeps a :class:`~repro.fog.store.ContentStore` of results it has
 produced or carried.  Kernel tables themselves come from the process-wide
-:data:`repro.engine.registry.REGISTRY` — the in-process analogue of fog
-machines sharing one prebuilt ``.npz`` table cache.
+:data:`repro.engine.registry.REGISTRY`, built once per process.
 
 Nodes are deliberately passive about routing: the
 :class:`~repro.fog.topology.Router` decides where an interest goes; the

@@ -7,8 +7,7 @@ at insertion — so a hit replays exactly the bytes the original execution
 produced.  :meth:`get` re-verifies the pinned digest before serving (every
 hit by default; every Nth hit with ``reverify_every=N``); an entry whose
 bytes no longer match its name is dropped and counted
-(``integrity_failures``) rather than served, mirroring the kernel disk
-cache's quarantine-and-rebuild posture.
+(``integrity_failures``) rather than served.
 
 Eviction is LRU, but **admission** is pluggable: the store asks its
 :class:`AdmissionPolicy` whether a candidate is worth the victims it would

@@ -50,8 +50,8 @@ def restart_backoff_s(
     """Jittered exponential restart delay, deterministic per (token, idx).
 
     Pure function: ``base * 2**idx`` scaled by a hash-derived factor in
-    ``[0.5, 1.5)`` and capped — the same shape as the registry's disk
-    backoff, so N nodes killed together never stampede their restarts.
+    ``[0.5, 1.5)`` and capped, so N nodes killed together never stampede
+    their restarts.
     """
     base = float(base_s) * (2 ** int(restart_idx))
     h = zlib.crc32(f"{token}|{restart_idx}".encode()) & 0xFFFFFFFF

@@ -160,10 +160,10 @@ class PositQuantizedNetwork:
         """Batched inference; ``workers`` > 1 shards batches across processes.
 
         The parallel path (:class:`repro.engine.parallel.ParallelRunner`)
-        recompiles the plan in each worker against the shared kernel-table
-        disk cache and ships the input as posit codes through shared
-        memory; chunk boundaries stay batch-aligned so the output is
-        bit-identical to the single-process path.  One process pool is
+        recompiles the plan in each worker, which builds its own kernel
+        tables, and ships the input as posit codes through shared memory;
+        chunk boundaries stay batch-aligned so the output is bit-identical
+        to the single-process path.  One process pool is
         created per call — for repeated serving, keep a
         ``BatchedRunner(..., workers=N)`` alive instead.
         """

@@ -17,8 +17,7 @@ Tables are built with the bit-parallel field-extraction decode of
 :mod:`repro.posit.vector` and this module's own correctly rounded
 ``encode``, a few thousand lanes at a time; the scalar
 :class:`~repro.posit.value.Posit` model is their test oracle, not their
-builder.  :mod:`repro.engine.registry` memoizes construction per format
-and can persist the tables to disk.
+builder.  :mod:`repro.engine.registry` memoizes construction per format.
 """
 
 from __future__ import annotations
@@ -34,7 +33,8 @@ from .value import Posit
 
 __all__ = ["PositCodec", "PositTable", "PositTable8"]
 
-#: Lanes per table-build step (here and in the registry's encode LUT).
+#: Lanes per table-build step (here, in the registry's encode LUT and in
+#: the softfloat and LNS pairwise builders).
 #: The bit-parallel kernels allocate about a dozen temporaries per lane, so
 #: building a 2**16-entry table in one shot would raise a server's peak
 #: RSS by several MB for no gain in speed.

@@ -52,13 +52,12 @@ def _chaos():
 
 
 class TestParallelUnderChaos:
-    def test_results_survive_injected_crashes(self, tmp_path):
+    def test_results_survive_injected_crashes(self):
         x = np.random.default_rng(SEED).normal(size=(24, 6))
         with ParallelRunner(
             TinyModel(seed=1),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             chaos=_chaos(),
             task_retries=1,
             pool_restarts=2,
@@ -69,7 +68,7 @@ class TestParallelUnderChaos:
         assert sum(stats["fallback_causes"].values()) == stats["fallbacks"]
         assert set(stats["fallback_causes"]) <= CAUSES
 
-    def test_chaos_plus_activation_faults_stay_bit_identical(self, tmp_path):
+    def test_chaos_plus_activation_faults_stay_bit_identical(self):
         """Crashes must not perturb *where* the seeded bit flips land."""
         plan = FaultPlan(seed=SEED + 1, activation_rate=0.05)
         x = np.random.default_rng(SEED + 1).normal(size=(24, 6))
@@ -78,7 +77,6 @@ class TestParallelUnderChaos:
             TinyModel(seed=2),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             chaos=_chaos(),
             fault_plan=plan,
             task_retries=1,
@@ -87,14 +85,13 @@ class TestParallelUnderChaos:
             got = runner.run(x)
         assert np.array_equal(got, want, equal_nan=True)
 
-    def test_repeated_runs_degrade_gracefully(self, tmp_path):
+    def test_repeated_runs_degrade_gracefully(self):
         """Even once the restart budget is spent, runs keep answering."""
         x = np.random.default_rng(SEED + 2).normal(size=(16, 6))
         with ParallelRunner(
             TinyModel(seed=3),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             chaos=ChaosPlan(seed=SEED, crash_rate=max(CRASH_RATE, 0.5)),
             task_retries=1,
             pool_restarts=1,

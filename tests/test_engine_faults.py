@@ -111,18 +111,20 @@ class TestRegistryLUTFaults:
         grid = np.add.outer(np.arange(256), np.arange(256)) % 256
         return {"add": grid.astype(np.uint8)}
 
-    def test_memo_and_disk_stay_pristine(self, tmp_path):
+    def test_memo_stays_pristine(self):
         plan = FaultPlan(seed=3, lut_rate=0.02)
-        reg = KernelRegistry(cache_dir=tmp_path, fault_plan=plan)
+        reg = KernelRegistry(fault_plan=plan)
         t1 = reg.get(self.KEY, self._build)
         t2 = reg.get(self.KEY, self._build)
         pristine = self._build()
         # Deterministic corruption, re-derived identically per call...
         assert np.array_equal(t1["add"], t2["add"])
         assert not np.array_equal(t1["add"], pristine["add"])
-        # ...while the memo and the flushed .npz keep the pristine bytes.
-        fresh = KernelRegistry(cache_dir=tmp_path).get(self.KEY, self._build)
-        assert np.array_equal(fresh["add"], pristine["add"])
+        # ...while the memo keeps the pristine bytes.
+        reg.fault_plan = None
+        memo = reg.get(self.KEY, self._build)
+        assert reg.stats()["misses"] == 1  # served from the memo, not rebuilt
+        assert np.array_equal(memo["add"], pristine["add"])
 
     def test_only_eligible_tables_corrupted(self):
         plan = FaultPlan(seed=3, lut_rate=0.05)
@@ -243,7 +245,7 @@ class TestPoisonAudit:
 # The acceptance bar: bit-identical faults across worker counts
 # ----------------------------------------------------------------------
 class TestParallelBitIdentity:
-    def test_activation_faults_identical_across_worker_counts(self, tmp_path):
+    def test_activation_faults_identical_across_worker_counts(self):
         net = kws_cnn1(seed=0)
         plan = FaultPlan(seed=21, activation_rate=0.01)
         qnet = PositQuantizedNetwork(net, POSIT8, fault_plan=plan)
@@ -251,7 +253,7 @@ class TestParallelBitIdentity:
 
         y_inproc = BatchedRunner(qnet, batch_size=4).run(x)
         with ParallelRunner(
-            qnet, workers=2, batch_size=4, cache_dir=tmp_path
+            qnet, workers=2, batch_size=4
         ) as runner:
             y_par = runner.run(x)
             y_par2 = runner.run(x)
@@ -260,7 +262,7 @@ class TestParallelBitIdentity:
         assert np.array_equal(y_inproc, y_par, equal_nan=True)
         assert np.array_equal(y_par, y_par2, equal_nan=True)  # run-to-run determinism
 
-    def test_float_batch_faults_identical_across_worker_counts(self, tmp_path):
+    def test_float_batch_faults_identical_across_worker_counts(self):
         plan = FaultPlan(seed=17, activation_rate=0.05)
         x = np.random.default_rng(4).normal(size=(16, 6))
         y_inproc = BatchedRunner(TinyModel(seed=2), batch_size=4, fault_plan=plan).run(x)
@@ -268,7 +270,6 @@ class TestParallelBitIdentity:
             TinyModel(seed=2),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             fault_plan=plan,
         ) as runner:
             y_par = runner.run(x)
@@ -276,7 +277,7 @@ class TestParallelBitIdentity:
         assert stats["fallbacks"] == 0
         assert np.array_equal(y_inproc, y_par, equal_nan=True)
 
-    def test_runner_faults_over_a_quantized_network(self, tmp_path):
+    def test_runner_faults_over_a_quantized_network(self):
         """A runner's FaultPlan rides the pool initializer into each
         worker's registry; the plans the workers compile must accept an
         activation-only plan (only ``lut_rate`` is refused) and compute on
@@ -286,14 +287,14 @@ class TestParallelBitIdentity:
         x = np.random.default_rng(6).normal(size=(16, 1, 31, 20))
         want = BatchedRunner(qnet, batch_size=4, fault_plan=plan).run(x)
         with ParallelRunner(
-            qnet, workers=2, batch_size=4, cache_dir=tmp_path, fault_plan=plan
+            qnet, workers=2, batch_size=4, fault_plan=plan
         ) as runner:
             got = runner.run(x)
             stats = runner.stats()
         assert stats["fallbacks"] == 0
         assert np.array_equal(got, want, equal_nan=True)
 
-    def test_lut_faults_identical_across_processes(self, tmp_path):
+    def test_lut_faults_identical_across_processes(self):
         plan = FaultPlan(seed=9, lut_rate=0.01)
         rng = np.random.default_rng(5)
         pairs = rng.integers(0, 256, size=(32, 2)).astype(np.uint8)
@@ -307,7 +308,6 @@ class TestParallelBitIdentity:
             PairwisePositModel(),
             workers=2,
             batch_size=8,
-            cache_dir=tmp_path,
             fault_plan=plan,
         ) as runner:
             got = runner.run(pairs)
@@ -332,14 +332,13 @@ class TestChaosPlan:
         assert plan.decide(3, 0) == "crash"
         assert plan.decide(3, 1) is None
 
-    def test_crash_once_then_retry_succeeds(self, tmp_path):
+    def test_crash_once_then_retry_succeeds(self):
         chaos = ChaosPlan(seed=0, crash_rate=1.0, attempts=(0,))
         x = np.random.default_rng(6).normal(size=(16, 6))
         with ParallelRunner(
             TinyModel(seed=3),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             chaos=chaos,
             task_retries=1,
             pool_restarts=2,
@@ -351,14 +350,13 @@ class TestChaosPlan:
         assert stats["pool_restarts"] >= 1
         assert stats["task_retries"] >= 1
 
-    def test_persistent_crashes_exhaust_retries_then_fall_back(self, tmp_path):
+    def test_persistent_crashes_exhaust_retries_then_fall_back(self):
         chaos = ChaosPlan(seed=0, crash_rate=1.0)  # every attempt crashes
         x = np.random.default_rng(7).normal(size=(16, 6))
         with ParallelRunner(
             TinyModel(seed=4),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             chaos=chaos,
             task_retries=1,
             pool_restarts=3,
@@ -370,14 +368,13 @@ class TestChaosPlan:
         assert sum(stats["fallback_causes"].values()) == stats["fallbacks"]
         assert stats["fallback_causes"].get("retry_exhausted", 0) >= 1
 
-    def test_slowdown_trips_timeout_cause(self, tmp_path):
+    def test_slowdown_trips_timeout_cause(self):
         chaos = ChaosPlan(seed=0, slow_rate=1.0, slow_s=5.0)
         x = np.random.default_rng(8).normal(size=(8, 6))
         with ParallelRunner(
             TinyModel(seed=5),
             workers=2,
             batch_size=4,
-            cache_dir=tmp_path,
             chaos=chaos,
             task_timeout=0.25,
             task_retries=0,

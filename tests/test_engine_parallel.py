@@ -1,4 +1,4 @@
-"""Parallel sharded execution: bit-identity, crash/timeout fallback, cache.
+"""Parallel sharded execution: bit-identity, crash/timeout fallback, tables.
 
 The invariant under test is absolute: sharding across processes must never
 change a single bit of the output.  Chunk boundaries are batch-aligned, so
@@ -9,14 +9,14 @@ kill or stall workers and require the runner to degrade gracefully to
 in-process execution with identical numerics.
 
 All worker pools use the ``spawn`` context: workers import the repo fresh
-and share kernel tables only through the registry's ``.npz`` disk cache,
-which is what the table-sharing test asserts (``disk_loads`` > 0 instead
-of worker-side rebuilds).
+and build their own kernel tables, which the worker-tables test checks
+(worker registry misses reach ``stats()``, and nothing is written to disk).
 """
 
 import multiprocessing
 import os
 import pickle
+import tempfile
 import time
 
 import numpy as np
@@ -25,7 +25,7 @@ import pytest
 from repro.engine import BatchedRunner, ParallelRunner, KernelRegistry
 from repro.engine.kernels import lut_matmul, shard_rows
 from repro.engine.parallel import FusedPlanSpec, ModelHandle, _factory_for, shard_lut_matmul
-from repro.nn.posit_inference import PositQuantizedNetwork
+from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1
 from repro.posit import POSIT8
 
@@ -153,19 +153,19 @@ class TestBitIdentity:
         assert stats["items"] == 26
         assert stats["fallbacks"] == 0
 
-    def test_posit_network_parallel_equals_single(self, tmp_path):
+    def test_posit_network_parallel_equals_single(self):
         net = kws_cnn1(seed=0)
         qnet = PositQuantizedNetwork(net, POSIT8)
         rng = np.random.default_rng(3)
         x = rng.normal(size=(8, 1, 31, 20))
         y_single = BatchedRunner(qnet, batch_size=4).run(x)
         with ParallelRunner(
-            qnet, workers=2, batch_size=4, cache_dir=tmp_path
+            qnet, workers=2, batch_size=4
         ) as runner:
             y_par = runner.run(x)
         assert np.array_equal(y_single, y_par)
 
-    def test_exhaustive_posit8_parity_suite(self, tmp_path):
+    def test_exhaustive_posit8_parity_suite(self):
         """Every 8-bit (a, b) code pair through the parallel path.
 
         The acceptance bar for sharded execution: all 65536 posit8 operand
@@ -177,7 +177,7 @@ class TestBitIdentity:
         model = Posit8PairwiseModel()
         y_single = BatchedRunner(model, batch_size=8192).run(pairs)
         with ParallelRunner(
-            model, workers=2, batch_size=8192, cache_dir=tmp_path
+            model, workers=2, batch_size=8192
         ) as runner:
             y_par = runner.run(pairs)
             stats = runner.stats()
@@ -268,45 +268,32 @@ class TestFallback:
 
 
 # ----------------------------------------------------------------------
-# Registry table sharing across spawn workers
+# Kernel tables in spawn workers: built per process, never stored
 # ----------------------------------------------------------------------
-class TestTableSharing:
-    def test_workers_load_tables_from_disk_cache(self, tmp_path):
-        # A private registry keeps this test independent of global state:
-        # the parent builds the posit8 codec + pairwise tables, flushes
-        # them to the cache dir, and the spawned worker must *load* them
-        # (disk_loads > 0 in its registry stats) instead of rebuilding.
-        reg = KernelRegistry(cache_dir=tmp_path)
-        net = kws_cnn1(seed=1)
+class TestWorkerTables:
+    def test_workers_build_tables_and_write_no_files(self, tmp_path, monkeypatch):
+        # Any temporary file or directory, in the parent or in a worker,
+        # would land in this empty directory.
+        tmp = tmp_path / "tmp"
+        tmp.mkdir()
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp))
+        monkeypatch.setenv("TMPDIR", str(tmp))
+        # A private parent registry, so the workers' misses are told apart.
+        reg = KernelRegistry()
         from repro.engine.posit_backend import PositBackend
 
         engine = PositBackend(POSIT8, registry=reg)
-        qnet = PositQuantizedNetwork(net, POSIT8, engine=engine)
-        rng = np.random.default_rng(16)
-        x = rng.normal(size=(8, 1, 31, 20))
-        with ParallelRunner(
-            qnet, workers=2, batch_size=4, cache_dir=tmp_path, registry=reg
-        ) as runner:
+        qnet = PositQuantizedNetwork(kws_cnn1(seed=1), POSIT8, engine=engine)
+        x = np.random.default_rng(16).normal(size=(8, 1, 31, 20))
+        with ParallelRunner(qnet, workers=2, batch_size=4, registry=reg) as runner:
             y = runner.run(x)
             stats = runner.stats()
-        assert list(tmp_path.glob("*.npz")), "parent did not flush tables"
+            assert list(tmp.iterdir()) == []  # while the pool is up, too
         assert stats["fallbacks"] == 0, "parallel path did not run"
-        assert stats["table_disk_loads"] >= 1, "workers rebuilt tables"
-        assert np.array_equal(y, BatchedRunner(qnet, batch_size=4).run(x))
-
-    def test_flush_to_disk_writes_resident_tables(self, tmp_path):
-        reg = KernelRegistry()
-        reg.get(("a",), lambda: {"t": np.arange(4)})
-        reg.get(("b",), lambda: {"t": np.arange(8)})
-        assert reg.flush_to_disk(tmp_path) == 2
-        assert len(list(tmp_path.glob("*.npz"))) == 2
-        # Idempotent: existing entries are not rewritten.
-        assert reg.flush_to_disk(tmp_path) == 0
-
-    def test_flush_without_cache_dir_raises(self):
-        reg = KernelRegistry()
-        with pytest.raises(ValueError):
-            reg.flush_to_disk()
+        want = np.concatenate([reference_forward(qnet.net, engine, x[s : s + 4]) for s in (0, 4)])
+        assert y.tobytes() == want.tobytes()
+        assert stats["table_misses"] > reg.stats()["misses"], "no worker builds counted"
+        assert list(tmp.iterdir()) == []
 
 
 # ----------------------------------------------------------------------
@@ -367,13 +354,13 @@ class TestParallelStats:
             assert w["pid"] != os.getpid()
             assert w["items_per_s"] > 0
 
-    def test_worker_op_counters_merged_into_parent(self, tmp_path):
+    def test_worker_op_counters_merged_into_parent(self):
         net = kws_cnn1(seed=2)
         qnet = PositQuantizedNetwork(net, POSIT8)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(8, 1, 31, 20))
         with ParallelRunner(
-            qnet, workers=2, batch_size=4, cache_dir=tmp_path
+            qnet, workers=2, batch_size=4
         ) as runner:
             runner.run(x)
             stats = runner.stats()
@@ -382,7 +369,7 @@ class TestParallelStats:
         assert stats["ops"]["matmul[values]"]["calls"] > 0
 
     @pytest.mark.parametrize("shared_memory", [True, False], ids=["fused", "pickled"])
-    def test_poison_audit_comes_home_from_workers(self, tmp_path, shared_memory):
+    def test_poison_audit_comes_home_from_workers(self, shared_memory):
         """Workers ship their poison entries and ``METRICS`` delta home: the
         parent's report and ``poison.nonfinite`` delta equal in-process."""
         from repro.engine.observe import METRICS
@@ -401,7 +388,7 @@ class TestParallelStats:
         qnet = audited()
         model = qnet.fused_plan() if shared_memory else qnet
         before = METRICS.counters.get("poison.nonfinite", 0)
-        with ParallelRunner(model, workers=2, batch_size=4, cache_dir=tmp_path) as runner:
+        with ParallelRunner(model, workers=2, batch_size=4) as runner:
             out = runner.run(x)
             stats = runner.stats()
         delta = METRICS.counters.get("poison.nonfinite", 0) - before

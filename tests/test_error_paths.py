@@ -183,175 +183,6 @@ class TestLNSErrors:
         assert LNS.from_float(fmt, math.nan).is_zero()
 
 
-class TestRegistryCacheErrors:
-    """Corrupt-cache recovery: every bad disk state rebuilds cleanly,
-    quarantines the offender, and increments an integrity metric."""
-
-    KEY = ("posit", 8, 0, "errtest")
-
-    @staticmethod
-    def _tables():
-        return {
-            "add": (np.arange(256, dtype=np.uint8)[:, None]
-                    + np.arange(256, dtype=np.uint8)[None, :]),
-        }
-
-    def _seed_cache(self, tmp_path):
-        from repro.engine.registry import KernelRegistry
-
-        reg = KernelRegistry(cache_dir=tmp_path)
-        tables = reg.get(self.KEY, self._tables)
-        path = reg._path(self.KEY)
-        assert path.exists()
-        return reg, tables, path
-
-    def _reload(self, tmp_path):
-        """A fresh registry (cold memo) reading the same cache dir."""
-        from repro.engine.registry import KernelRegistry
-
-        return KernelRegistry(cache_dir=tmp_path)
-
-    def test_truncated_npz_recovers(self, tmp_path):
-        from repro.engine.observe import METRICS
-
-        _, tables, path = self._seed_cache(tmp_path)
-        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-        before = METRICS.counters.get("registry.disk_integrity_failures", 0)
-        reg2 = self._reload(tmp_path)
-        rebuilt = reg2.get(self.KEY, self._tables)
-        assert np.array_equal(rebuilt["add"], tables["add"])
-        assert reg2.stats()["integrity_failures"] == 1
-        assert METRICS.counters["registry.disk_integrity_failures"] == before + 1
-        assert path.with_suffix(".npz.corrupt").exists()
-        assert path.exists()  # rebuilt entry re-persisted
-
-    def test_checksum_mismatch_recovers(self, tmp_path):
-        from repro.engine.observe import METRICS
-
-        _, tables, path = self._seed_cache(tmp_path)
-        # Tamper with one payload byte, keeping the zip container valid.
-        bad = {name: arr.copy() for name, arr in tables.items()}
-        bad["add"][17, 3] ^= 0x40
-        with np.load(path) as data:
-            original_digest = data["__sha256__"]  # contents will no longer match
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, __sha256__=original_digest, **bad)
-        before = METRICS.counters.get(
-            "registry.disk_integrity_failures.checksum", 0
-        )
-        reg2 = self._reload(tmp_path)
-        rebuilt = reg2.get(self.KEY, self._tables)
-        assert np.array_equal(rebuilt["add"], tables["add"])  # not the tampered bytes
-        assert reg2.stats()["integrity_failures"] == 1
-        assert (
-            METRICS.counters["registry.disk_integrity_failures.checksum"]
-            == before + 1
-        )
-
-    def test_stale_file_without_checksum_recovers(self, tmp_path):
-        _, tables, path = self._seed_cache(tmp_path)
-        with open(path, "wb") as fh:  # pre-integrity format: no digest entry
-            np.savez_compressed(fh, **tables)
-        reg2 = self._reload(tmp_path)
-        rebuilt = reg2.get(self.KEY, self._tables)
-        assert np.array_equal(rebuilt["add"], tables["add"])
-        assert reg2.stats()["integrity_failures"] == 1
-
-    def test_wrong_shape_table_recovers(self, tmp_path):
-        from repro.engine.registry import DIGEST_KEY, _digest
-
-        _, tables, path = self._seed_cache(tmp_path)
-        # Valid checksum over structurally wrong data: only the validate
-        # hook can catch this.
-        bad = {"add": tables["add"][:17]}
-        payload = dict(bad)
-        payload[DIGEST_KEY] = np.frombuffer(_digest(bad), dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez_compressed(fh, **payload)
-        reg2 = self._reload(tmp_path)
-        rebuilt = reg2.get(
-            self.KEY,
-            self._tables,
-            validate=lambda t: t["add"].shape == (256, 256),
-        )
-        assert rebuilt["add"].shape == (256, 256)
-        assert np.array_equal(rebuilt["add"], tables["add"])
-        assert reg2.stats()["integrity_failures"] == 1
-
-    def test_unreadable_cache_dir_degrades_to_memory(self, tmp_path, monkeypatch):
-        import os
-
-        from repro.engine.observe import METRICS
-        from repro.engine.registry import KernelRegistry
-
-        if os.geteuid() == 0:
-            pytest.skip("chmod 000 does not bar root; permission test is moot")
-        locked = tmp_path / "locked"
-        locked.mkdir()
-        reg = KernelRegistry(cache_dir=locked)
-        locked.chmod(0o000)
-        try:
-            tables = reg.get(self.KEY, self._tables)  # write fails, run continues
-            assert np.array_equal(tables["add"], self._tables()["add"])
-            assert reg.stats()["disk_errors"] >= 1
-            assert METRICS.counters.get("registry.disk_errors", 0) >= 1
-        finally:
-            locked.chmod(0o700)
-
-    def test_unwritable_write_counts_disk_error(self, tmp_path, monkeypatch):
-        """Root-safe variant: force the atomic replace itself to fail."""
-        import os
-
-        from repro.engine.registry import KernelRegistry
-
-        reg = KernelRegistry(cache_dir=tmp_path)
-
-        def boom(src, dst):
-            raise OSError("disk on fire")
-
-        monkeypatch.setattr(os, "replace", boom)
-        tables = reg.get(self.KEY, self._tables)
-        assert np.array_equal(tables["add"], self._tables()["add"])
-        assert reg.stats()["disk_errors"] == 1
-        assert not reg._path(self.KEY).exists()
-
-    def test_quarantined_file_not_reloaded(self, tmp_path):
-        _, tables, path = self._seed_cache(tmp_path)
-        path.write_bytes(b"not a zip at all")
-        reg2 = self._reload(tmp_path)
-        reg2.get(self.KEY, self._tables)
-        # A second cold registry sees the rebuilt (valid) file, not the junk.
-        reg3 = self._reload(tmp_path)
-        reg3.get(self.KEY, lambda: pytest.fail("should load from disk"))
-        assert reg3.stats()["disk_loads"] == 1
-        assert reg3.stats()["integrity_failures"] == 0
-
-    def test_deflate_corruption_quarantined_not_raised(self, tmp_path):
-        """A byte flip inside the compressed stream raises zlib.error on
-        read — that must quarantine and rebuild, never escape."""
-        _, tables, path = self._seed_cache(tmp_path)
-        raw = bytearray(path.read_bytes())
-        raw[len(raw) // 2] ^= 0xFF
-        path.write_bytes(bytes(raw))
-        reg2 = self._reload(tmp_path)
-        rebuilt = reg2.get(self.KEY, self._tables)
-        assert np.array_equal(rebuilt["add"], tables["add"])
-        assert reg2.stats()["integrity_failures"] == 1
-        assert path.with_suffix(".npz.corrupt").exists()
-
-    def test_codec_tables_round_trip_disk_validation(self, tmp_path):
-        """The codec validate hook must accept its own flushed tables
-        (boundaries span *finite* values only — NaR stores as NaN)."""
-        from repro.engine.registry import KernelRegistry, get_codec
-
-        get_codec(POSIT8, KernelRegistry(cache_dir=tmp_path))
-        reg2 = KernelRegistry(cache_dir=tmp_path)
-        codec = get_codec(POSIT8, reg2)
-        assert reg2.stats()["disk_loads"] == 1
-        assert reg2.stats()["integrity_failures"] == 0
-        assert codec.encode(np.array([1.0]))[0] == 0x40  # posit8 1.0
-
-
 class TestFaultPlanErrors:
     def test_rates_validated(self):
         from repro.engine.faults import ChaosPlan, FaultPlan

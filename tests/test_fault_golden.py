@@ -58,8 +58,8 @@ def test_predict_workers(golden):
     assert multiprocessing.active_children() == []
 
 
-def test_parallel_runner(golden, tmp_path):
-    with ParallelRunner(_qnet(), workers=2, batch_size=FAULT_BATCH, cache_dir=tmp_path) as runner:
+def test_parallel_runner(golden):
+    with ParallelRunner(_qnet(), workers=2, batch_size=FAULT_BATCH) as runner:
         segments = []
         create = runner._create_segment
         runner._create_segment = lambda size: segments.append(size) or create(size)

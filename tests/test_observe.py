@@ -4,9 +4,7 @@ Covers the observability acceptance bars: span nesting and JSONL
 round-trips, the disabled-tracer hot-loop overhead (< 5% of one LUT
 matmul), histogram bucketing and cross-process metric merging (a real
 ``workers=2`` run whose trace must contain spans from both worker
-processes and whose merged metrics must match the parent's ``stats()``),
-plus the ``flush_to_disk`` idempotence bugfix asserted through the new
-``disk_writes`` metric.
+processes and whose merged metrics must match the parent's ``stats()``).
 """
 
 import json
@@ -19,7 +17,6 @@ import pytest
 from repro.engine import (
     BatchedRunner,
     Histogram,
-    KernelRegistry,
     Metrics,
     OpCounters,
     ParallelRunner,
@@ -287,45 +284,6 @@ class TestOpCountersShim:
 
 
 # ----------------------------------------------------------------------
-# flush_to_disk idempotence (bugfix) via the disk_writes metric
-# ----------------------------------------------------------------------
-class TestFlushIdempotence:
-    @staticmethod
-    def _builder():
-        return {"t": np.arange(16, dtype=np.uint8)}
-
-    def test_second_flush_writes_nothing(self, tmp_path):
-        reg = KernelRegistry()
-        reg.get(("obs-flush", 1), self._builder)
-        assert reg.flush_to_disk(tmp_path) == 1
-        assert reg.stats()["disk_writes"] == 1
-        # Same registry, same dir, no new tables: complete no-op.
-        assert reg.flush_to_disk(tmp_path) == 0
-        assert reg.stats()["disk_writes"] == 1
-
-    def test_existing_files_are_never_rewritten(self, tmp_path):
-        reg1 = KernelRegistry()
-        reg1.get(("obs-flush", 2), self._builder)
-        reg1.flush_to_disk(tmp_path)
-        mtimes = {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.npz")}
-        # A different process's registry flushing the same tables: the
-        # file already on disk short-circuits the write.
-        reg2 = KernelRegistry()
-        reg2.get(("obs-flush", 2), self._builder)
-        assert reg2.flush_to_disk(tmp_path) == 0
-        assert reg2.stats()["disk_writes"] == 0
-        assert {p.name: p.stat().st_mtime_ns for p in tmp_path.glob("*.npz")} == mtimes
-
-    def test_new_tables_still_flush(self, tmp_path):
-        reg = KernelRegistry()
-        reg.get(("obs-flush", 3), self._builder)
-        assert reg.flush_to_disk(tmp_path) == 1
-        reg.get(("obs-flush", 4), self._builder)
-        assert reg.flush_to_disk(tmp_path) == 1  # only the new entry
-        assert reg.stats()["disk_writes"] == 2
-
-
-# ----------------------------------------------------------------------
 # Cross-process: spans from both workers, metrics merged into stats()
 # ----------------------------------------------------------------------
 class BothWorkersModel:
@@ -384,7 +342,6 @@ class TestParallelObservability:
             workers=2,
             batch_size=32,
             chunk_size=32,
-            cache_dir=tmp_path / "cache",
             task_timeout=120.0,
         ) as runner:
             runner.run(x)
@@ -425,7 +382,7 @@ class TestParallelObservability:
         runner.run(np.zeros((16, 2)))
         stats = runner.stats()
         assert stats["metrics"]["histograms"]["runner.batch_s"]["count"] == 2
-        assert "table_disk_writes" in stats
+        assert {"table_hits", "table_misses"} <= set(stats)
         runner.reset()
         assert "runner.batch_s" not in runner.stats()["metrics"]["histograms"]
 

@@ -1,19 +1,24 @@
-"""Byte-parity of the bit-parallel posit table builders with the scalar model.
+"""Byte-parity of the vectorized kernel table builders with the scalar models.
 
-The codec value/boundary tables, the pairwise add/mul tables and the
-float64-bits encode LUT are built with numpy kernels, a few thousand lanes
-at a time.  These tests rebuild each table with the scalar
-:class:`repro.posit.value.Posit` model (the per-code loops the builders
-replaced) and require identical bytes; the served tables are also pinned
-by their registry content digests, which name them in ``.npz`` caches and
-fog content names.
+The posit codec value/boundary tables, the posit, softfloat and LNS
+pairwise tables and the float64-bits encode LUT are built with numpy
+kernels, a few thousand lanes at a time.  These tests rebuild each table
+with the scalar :class:`repro.posit.value.Posit`,
+:class:`repro.floats.softfloat.SoftFloat` and :class:`repro.lns.LNS`
+models (the per-code loops the builders replaced) and require identical
+bytes; the served tables are also pinned by their registry content
+digests, which name them in fog content names.
 """
 
 import numpy as np
 import pytest
 
+import repro.engine.lns_backend as lns_mod
 import repro.engine.registry as registry_mod
+import repro.engine.softfloat_backend as softfloat_mod
 import repro.posit.tensor as tensor_mod
+from repro.engine.faults import FaultPlan
+from repro.engine.lns_backend import LNSBackend
 from repro.engine.registry import (
     ENCODE_TABLE_TOP_BITS,
     KernelRegistry,
@@ -21,6 +26,9 @@ from repro.engine.registry import (
     get_encode_table,
     get_posit_tables,
 )
+from repro.engine.softfloat_backend import SoftFloatBackend
+from repro.floats import FP8_E4M3, FP8_E5M2, FloatFormat, SoftFloat
+from repro.lns import LNS, LNSFormat
 from repro.posit import PositFormat
 from repro.posit import vector as pvec
 from repro.posit.tensor import PositCodec, PositTable
@@ -35,12 +43,19 @@ PINNED_DIGESTS = {
     ("posit", 16, 1, "values"): "92c62885593b44f2dcd6989e187555db6c4a9478cb3e21e594a654e1cdfbcd83",
 }
 
+#: The same for the FP8 add/mul tables and two LNS table pairs, as built by
+#: the scalar SoftFloat and LNS loops before the vectorized builders.
+PINNED_FLOAT_LNS_DIGESTS = {
+    ("float", 4, 3, "addmul"): "755c805673062a17331498e5d2ce52609c61a5cf7ac56e008e9cda057e7f2453",
+    ("float", 5, 2, "addmul"): "32558252a2443cdc0b0ee599e38a05aabbc09a437c318c0f707829cc169d9c1b",
+    ("lns", 2, 3, "tables"): "9b4d1fc991997bdc299374b21186248e3193935252f7a4bba298550d075f1446",
+    ("lns", 3, 4, "tables"): "e192e744317dcf504188f2e4ae881744efe8fdc958f27cf6cb870fa0f0871b68",
+}
+
 
 def _fresh_registry() -> KernelRegistry:
-    """A private registry that builds every table (no disk cache)."""
-    reg = KernelRegistry()
-    reg.cache_dir = None
-    return reg
+    """A private registry: every table is built, none is shared."""
+    return KernelRegistry()
 
 
 # ----------------------------------------------------------------------
@@ -75,6 +90,29 @@ def scalar_pair_tables(fmt: PositFormat):
             add[i, j] = add[j, i] = (a + posits[j]).pattern
             mul[i, j] = mul[j, i] = (a * posits[j]).pattern
     return add, mul
+
+
+def scalar_float_pair_tables(fmt: FloatFormat):
+    n = 1 << fmt.width
+    floats = [SoftFloat(fmt, p) for p in range(n)]
+    add = np.empty((n, n), dtype=np.uint8)
+    mul = np.empty((n, n), dtype=np.uint8)
+    for i, a in enumerate(floats):
+        for j, b in enumerate(floats):
+            add[i, j] = a.add(b).pattern
+            mul[i, j] = a.mul(b).pattern
+    return add, mul
+
+
+def _lns(fmt: LNSFormat, code: int) -> LNS:
+    return LNS(fmt, code >> fmt.e_bits, (code & ((1 << fmt.e_bits) - 1)) + fmt.zero_code)
+
+
+def scalar_lns_sum(fmt: LNSFormat, a: int, b: int) -> int:
+    s = _lns(fmt, a).add(_lns(fmt, b))
+    if s.is_zero():
+        return 0
+    return (s.sign << fmt.e_bits) | ((s.e_code - fmt.zero_code) & ((1 << fmt.e_bits) - 1))
 
 
 def full_encode_lut(codec: PositCodec) -> np.ndarray:
@@ -156,6 +194,71 @@ def test_wide_pair_tables_match_scalar_samples(nbits, es):
 
 
 # ----------------------------------------------------------------------
+# Softfloat pairwise add/mul tables
+# ----------------------------------------------------------------------
+SOFTFLOAT_FORMATS = [
+    FP8_E4M3,
+    FP8_E5M2,
+    FloatFormat("e3m2", exp_bits=3, frac_bits=2),
+    FloatFormat("e4m2", exp_bits=4, frac_bits=2),
+    FloatFormat("e2m5", exp_bits=2, frac_bits=5),
+]
+
+
+@pytest.mark.parametrize("fmt", SOFTFLOAT_FORMATS, ids=lambda f: f.name)
+def test_softfloat_pair_tables_match_scalar_model(fmt):
+    backend = SoftFloatBackend(fmt, registry=_fresh_registry())
+    assert backend.strategy == "pairwise"
+    add, mul = scalar_float_pair_tables(fmt)
+    assert backend.add_table.tobytes() == add.tobytes()
+    assert backend.mul_table.tobytes() == mul.tobytes()
+
+
+# ----------------------------------------------------------------------
+# LNS pairwise add tables
+# ----------------------------------------------------------------------
+def _lns_formats(widths):
+    return [LNSFormat(i, w - 2 - i) for w in widths for i in range(1, w - 1)]
+
+
+@pytest.mark.parametrize("fmt", _lns_formats(range(3, 9)), ids=str)
+def test_lns_add_table_matches_scalar_model(fmt):
+    backend = LNSBackend(fmt, registry=_fresh_registry())
+    assert backend.strategy == "pairwise"
+    n = 1 << fmt.width
+    want = np.array([[scalar_lns_sum(fmt, a, b) for b in range(n)] for a in range(n)], dtype=np.uint8)
+    assert backend.add_table.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("fmt", _lns_formats([9, 10]), ids=str)
+def test_wide_lns_add_tables_match_scalar_samples(fmt):
+    backend = LNSBackend(fmt, registry=_fresh_registry())
+    assert backend.strategy == "pairwise"
+    n = 1 << fmt.width
+    rng = np.random.default_rng(fmt.width * 100 + fmt.int_bits)
+    a = rng.integers(0, n, 400)
+    b = rng.integers(0, n, 400)
+    # Plus zero (both signs), the extreme magnitudes and the codes around
+    # 1.0, where phi- cancels.
+    edge = np.array([0, 1, n // 4 - 1, n // 4, n // 4 + 1, n // 2 - 1, n // 2, n // 2 + 1, n - 1])
+    a = np.concatenate([a, np.repeat(edge, len(edge))])
+    b = np.concatenate([b, np.tile(edge, len(edge))])
+    for x, y in zip(a.tolist(), b.tolist()):
+        assert backend.add_table[x, y] == scalar_lns_sum(fmt, x, y), (x, y)
+
+
+def test_lns_add_table_carries_no_op_faults():
+    # The table is built from the phi kernel, not from ``add``, whose output
+    # an op fault plan corrupts at call time.
+    fmt = LNSFormat(2, 3)
+    clean = LNSBackend(fmt, registry=_fresh_registry())
+    faulty = LNSBackend(fmt, registry=_fresh_registry(), fault_plan=FaultPlan(seed=1, op_rate=1.0))
+    assert faulty.add_table.tobytes() == clean.add_table.tobytes()
+    codes = np.arange(1 << fmt.width)
+    assert not np.array_equal(faulty.add(codes, codes), clean.add(codes, codes))
+
+
+# ----------------------------------------------------------------------
 # Encode LUT
 # ----------------------------------------------------------------------
 @pytest.mark.parametrize("nbits", range(3, 9))
@@ -189,6 +292,20 @@ def test_builds_do_not_depend_on_the_chunk_size(monkeypatch):
         assert lut.tobytes() == ref_lut.tobytes()
 
 
+def test_softfloat_and_lns_builds_do_not_depend_on_the_chunk_size(monkeypatch):
+    lns = LNSFormat(3, 4)
+    ref_float = SoftFloatBackend(FP8_E4M3, registry=_fresh_registry())
+    ref_lns = LNSBackend(lns, registry=_fresh_registry())
+    for chunk in (1000, 4095, 4097):
+        monkeypatch.setattr(softfloat_mod, "TABLE_BUILD_CHUNK", chunk)
+        monkeypatch.setattr(lns_mod, "TABLE_BUILD_CHUNK", chunk)
+        be = SoftFloatBackend(FP8_E4M3, registry=_fresh_registry())
+        assert be.add_table.tobytes() == ref_float.add_table.tobytes()
+        assert be.mul_table.tobytes() == ref_float.mul_table.tobytes()
+        lbe = LNSBackend(lns, registry=_fresh_registry())
+        assert lbe.add_table.tobytes() == ref_lns.add_table.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Served tables: pinned content digests, and no scalar model on the way
 # ----------------------------------------------------------------------
@@ -203,7 +320,6 @@ def _build_served_tables(reg: KernelRegistry) -> None:
 def test_served_table_digests_are_pinned():
     reg = _fresh_registry()
     _build_served_tables(reg)
-    assert reg.stats()["disk_loads"] == 0
     for key, digest in PINNED_DIGESTS.items():
         assert reg.content_digest(key) == digest, key
 
@@ -224,3 +340,41 @@ def test_table_builds_construct_no_scalar_posits(monkeypatch):
     assert made == []
     Posit(PositFormat(8, 2), 1)  # the counter itself works
     assert made == [1]
+
+
+def _build_float_lns_tables(reg: KernelRegistry) -> None:
+    SoftFloatBackend(FP8_E4M3, registry=reg)
+    SoftFloatBackend(FP8_E5M2, registry=reg)
+    LNSBackend(LNSFormat(2, 3), registry=reg)
+    LNSBackend(LNSFormat(3, 4), registry=reg)
+
+
+def test_softfloat_and_lns_table_digests_are_pinned():
+    reg = _fresh_registry()
+    _build_float_lns_tables(reg)
+    for key, digest in PINNED_FLOAT_LNS_DIGESTS.items():
+        assert reg.content_digest(key) == digest, key
+
+
+def test_softfloat_and_lns_builds_call_no_scalar_ops(monkeypatch):
+    calls = []
+
+    def counting(method):
+        def wrapper(self, *args, **kwargs):
+            calls.append(method.__qualname__)
+            return method(self, *args, **kwargs)
+
+        return wrapper
+
+    for cls, name in ((SoftFloat, "add"), (SoftFloat, "mul"), (LNS, "add")):
+        monkeypatch.setattr(cls, name, counting(getattr(cls, name)))
+    reg = _fresh_registry()
+    _build_float_lns_tables(reg)
+    LNSBackend(LNSFormat(4, 4), registry=reg)  # 10 bits, the widest table
+    assert len(reg.content_names()) == 7  # 2 float value tables, 2 add/mul pairs, 3 LNS entries
+    assert calls == []
+    f, x = SoftFloat(FP8_E4M3, 1), _lns(LNSFormat(2, 3), 1)
+    f.add(f)
+    f.mul(f)
+    x.add(x)
+    assert calls == ["SoftFloat.add", "SoftFloat.mul", "LNS.add"]  # the counter works
