@@ -21,12 +21,13 @@ the machine-normalized **speedup** ratios instead:
   Skipped when ``bar_asserted`` is false (REPRO_QUICK smoke runs, whose
   scalar sample is too small for a stable ratio).
 * ``BENCH_fused.json``: ``speedup`` = best fused items/s (single-process
-  plan or shared-memory workers) over the layer-by-layer
+  plan or worker pool) over the layer-by-layer
   ``reference_forward`` in the same run.  Enforced only when ``bar_asserted`` is true (>= 4-CPU host),
   mirroring the benchmark's own >= 5x assertion gate.
 * ``BENCH_fused.json``: ``fused_stable_single_speedup`` = the fused plan
   over ``reference_forward``, both single-process with
-  ``stable_contractions=True`` at posit<8,2> (the serve configuration).
+  ``stable_contractions=True`` at posit<8,2> (the serve configuration):
+  the median of per-round ratios, the two arms taking turns each round.
   Always enforced: a same-process, same-host ratio, meaningful on any
   CPU count.
 * ``BENCH_fog.json``: ``hit_rate`` = cached replays over total submissions

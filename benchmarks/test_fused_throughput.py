@@ -6,8 +6,8 @@ layer-entry quantize (>50% of the profile on 8-bit KWS models) — by planning t
 network once: a direct float64-bits encode LUT at each quantization
 boundary, table-gather decodes into reused scratch buffers, pre-encoded
 weights, and activations travelling between quantized layers as posit
-codes.  With workers, those codes (1/8th the bytes of float64) move
-through shared memory instead of pickled float chunks.
+codes.  With workers, each worker runs the plan on its own pickled
+chunk of the batch.
 
 Because the fused plan is **bit-identical** to
 :func:`~repro.nn.posit_inference.reference_forward` — this module asserts
@@ -17,14 +17,18 @@ efficiency, never a numerics change.
 Results go to ``BENCH_fused.json`` at the repo root: items/s for the
 unfused baseline (``reference_forward`` under the same micro-batching:
 the layer-by-layer path, which also re-quantizes the weights per call),
-the fused single-process plan, and the fused multi-worker shared-memory
-path; ``speedup`` is best-fused over the baseline.  A second pair of arms
+the fused single-process plan, and the fused plan on a worker pool;
+``speedup`` is best-fused over the baseline.  A second pair of arms
 times the serve configuration — ``stable_contractions=True`` at the wire
 default posit<8,2> — where the reference contracts through the
 fixed-order einsum and the fused plan through BLAS wherever the span
 check of :mod:`repro.engine.exact` proves it exact:
 ``fused_stable_single_speedup`` is fused over the reference there, a
-single-process same-host ratio the regression gate checks on every host.  The ISSUE acceptance
+single-process same-host ratio the regression gate checks on every host.
+Each pair of arms takes turns round by round, and a ``*_single_speedup``
+is the median of the per-round ratios: a spell of host slowness then
+lands on both arms of a round instead of on whichever arm ran through
+it.  The acceptance
 bar (>= 5x end-to-end) applies **on a multi-core host**, where the
 single-process fused gain (~2x from killing the encode) compounds with
 parallel sharding; on < 4 CPUs the honest sub-bar number is recorded with
@@ -72,12 +76,27 @@ class _Reference:
 def _best_wall(fn, x) -> float:
     """Best-of-N wall clock for one full pass over ``x`` (N small; the
     best run is the least-perturbed one on a noisy shared host)."""
-    best = float("inf")
+    return min(_walls([fn], x)[0])
+
+
+def _walls(fns, x):
+    """Wall clock of one full pass over ``x`` per function, ``REPEATS``
+    rounds, the functions taking turns within each round."""
+    walls = [[] for _ in fns]
     for _ in range(REPEATS):
-        t0 = time.perf_counter()
-        fn(x)
-        best = min(best, time.perf_counter() - t0)
-    return best
+        for fn, out in zip(fns, walls):
+            t0 = time.perf_counter()
+            fn(x)
+            out.append(time.perf_counter() - t0)
+    return walls
+
+
+def _paired(reference, fused, x):
+    """Interleaved (best reference wall, best fused wall, median of the
+    per-round reference/fused ratios)."""
+    ref_walls, fused_walls = _walls([reference, fused], x)
+    ratio = float(np.median([r / f for r, f in zip(ref_walls, fused_walls)]))
+    return min(ref_walls), min(fused_walls), ratio
 
 
 @pytest.fixture(scope="module")
@@ -88,20 +107,18 @@ def measurement():
     rng = np.random.default_rng(42)
     x = rng.normal(size=(ITEMS, 1, 31, 20))
 
-    # Unfused single-process baseline — the layer-by-layer reference.
+    # Unfused single-process baseline — the layer-by-layer reference —
+    # against the same batches through the compiled plan.
     unfused = BatchedRunner(_Reference(qnet), batch_size=BATCH)
     unfused.run(x[:BATCH])  # warm tables outside the timed region
     y_ref = unfused.run(x)
-    unfused_wall = _best_wall(unfused.run, x)
-
-    # Fused, single process: same batches through the compiled plan.
     fused = BatchedRunner(plan, batch_size=BATCH)
     fused.run(x[:BATCH])  # warm the encode LUT + scratch buffers
     y_fused = fused.run(x)
     assert np.array_equal(y_fused, y_ref), "fused single-process diverged"
-    fused_wall = _best_wall(fused.run, x)
+    unfused_wall, fused_wall, single_speedup = _paired(unfused.run, fused.run, x)
 
-    # Fused, multi-worker: codes through shared memory, outputs in place.
+    # Fused, multi-worker: each worker runs the plan on its chunk.
     with ParallelRunner(plan, workers=WORKERS, batch_size=BATCH) as runner:
         runner.run(x[:BATCH])  # pool spawn + worker compile warmup
         y_par = runner.run(x)
@@ -116,11 +133,12 @@ def measurement():
     stable_unfused = BatchedRunner(_Reference(sqnet), batch_size=BATCH)
     stable_unfused.run(x[:BATCH])
     ys_ref = stable_unfused.run(x)
-    stable_unfused_wall = _best_wall(stable_unfused.run, x)
     stable_fused = BatchedRunner(sqnet.fused_plan(), batch_size=BATCH)
     stable_fused.run(x[:BATCH])
     assert np.array_equal(stable_fused.run(x), ys_ref), "fused stable plan diverged"
-    stable_fused_wall = _best_wall(stable_fused.run, x)
+    stable_unfused_wall, stable_fused_wall, stable_speedup = _paired(
+        stable_unfused.run, stable_fused.run, x
+    )
 
     unfused_ips = ITEMS / unfused_wall
     fused_ips = ITEMS / fused_wall
@@ -136,12 +154,12 @@ def measurement():
         "unfused_items_per_s": unfused_ips,
         "fused_items_per_s": fused_ips,
         "fused_parallel_items_per_s": par_ips,
-        "fused_single_speedup": fused_ips / unfused_ips,
+        "fused_single_speedup": single_speedup,
         "speedup": best_ips / unfused_ips,
         "stable_format": str(STABLE_FMT),
         "stable_unfused_items_per_s": ITEMS / stable_unfused_wall,
         "stable_fused_items_per_s": ITEMS / stable_fused_wall,
-        "fused_stable_single_speedup": stable_unfused_wall / stable_fused_wall,
+        "fused_stable_single_speedup": stable_speedup,
         "speedup_bar": SPEEDUP_BAR,
         "bar_asserted": MULTI_CORE,
         "bit_identical": True,

@@ -24,9 +24,7 @@ computation needs instead of round-tripping through generic machinery:
 * **Code space across quantization boundaries.**  Between one quantized
   layer's interludes and the next quantized layer, activations travel as
   posit *codes* (one fast encode at the boundary, one table gather at the
-  consumer) — 1/8th the bytes of float64 for 8-bit formats, which is also
-  what the parallel layer ships through shared memory instead of pickling
-  float arrays.
+  consumer) — 1/8th the bytes of float64 for 8-bit formats.
 * **Exact contractions on BLAS** (:mod:`repro.engine.exact`).  Products of
   <= 16-bit posits are exact in float64.  If each operand's values are
   multiples of ``2**min_lsb`` below ``2**max_mag``, every partial sum of a
@@ -379,8 +377,8 @@ class FusedPlan:
     Build with :meth:`compile`; run with :meth:`forward` (drop-in for any
     ``forward(x)`` model, e.g. under a
     :class:`~repro.engine.runner.BatchedRunner`) or split the input
-    boundary with :meth:`encode_input` / :meth:`forward_codes` — what the
-    parallel layer does to ship encoded activations through shared memory.
+    boundary with :meth:`encode_input` / :meth:`forward_codes`, to enter
+    the plan with input that is already encoded.
     """
 
     def __init__(self, net, fmt, backend: PositBackend, kernels: CodecKernels, stages, fault_plan, poison):
@@ -398,13 +396,11 @@ class FusedPlan:
         self._poison: Dict[int, dict] = poison if poison is not None else {}
         self.code_dtype = np.dtype(kernels.code_dtype)
         #: ``"codes"`` when the first stage is an input encode (every
-        #: network whose first layer is quantized) — the shared-memory
-        #: transport eligibility flag.
+        #: network whose first layer is quantized): such a plan can be
+        #: entered at :meth:`forward_codes`.
         self.input_rep = (
             "codes" if self.stages and self.stages[0].kind == "encode" else "float"
         )
-        #: Per-sample output shape (float64 logits — no trailing encode).
-        self.output_shape = tuple(net.output_shape())
 
     # ------------------------------------------------------------------
     @classmethod
@@ -478,11 +474,10 @@ class FusedPlan:
         return cur
 
     def encode_input(self, x: np.ndarray) -> np.ndarray:
-        """The input boundary's code array (what shared memory carries).
+        """The input boundary's code array (what :meth:`forward_codes` takes).
 
-        Elementwise, so ``encode_input(x)[s:e] == encode_input(x[s:e])`` —
-        span slicing after one whole-array encode is identical to
-        per-chunk encoding, which is what makes sharding exact.
+        Elementwise, so ``encode_input(x)[s:e] == encode_input(x[s:e])``:
+        encoding chunk by chunk gives the bytes of one whole-array encode.
         """
         if self.input_rep != "codes":
             raise ValueError(

@@ -58,7 +58,10 @@ class LNSBackend:
             self.values, self.add_table = tables["values"], tables["add"]
             self.strategy = "pairwise"
         else:
-            self.values = self._build_values()
+            self.values = self._registry.get(
+                ("lns", fmt.int_bits, fmt.frac_bits, "values"),
+                lambda: {"values": self._build_values()},
+            )["values"]
             self.add_table = None
             self.strategy = "via-phi"
         #: Width of one code word — the bit-flip domain for fault injection.

@@ -29,8 +29,8 @@ class BatchedRunner:
     :class:`repro.engine.parallel.ParallelRunner`); chunk boundaries stay
     batch-aligned, so the sharded output is bit-identical to the
     single-process path.  ``parallel_opts`` forwards extra keyword
-    arguments (``chunk_size``, ``mp_context``, ``task_timeout``,
-    ``fallback``) to the parallel layer.
+    arguments (``chunk_size``, ``task_timeout``, ``fallback``) to the
+    parallel layer.
     """
 
     def __init__(

@@ -39,17 +39,6 @@ class Sequential:
         """Total trainable parameters (Table I's Params column)."""
         return sum(p.size for p in self.params())
 
-    def output_shape(self) -> Tuple[int, ...]:
-        """Per-sample output shape, folded through every layer statically.
-
-        Lets consumers (e.g. the fused plan's shared-memory transport)
-        size result buffers before running a single sample.
-        """
-        shape = self.input_shape
-        for layer in self.layers:
-            shape = layer.output_shape(shape)
-        return tuple(shape)
-
     def macs(self) -> int:
         """Per-sample multiply-accumulates (Table I's MACs column)."""
         shape = self.input_shape

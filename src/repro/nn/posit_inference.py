@@ -161,7 +161,7 @@ class PositQuantizedNetwork:
 
         The parallel path (:class:`repro.engine.parallel.ParallelRunner`)
         recompiles the plan in each worker, which builds its own kernel
-        tables, and ships the input as posit codes through shared memory;
+        tables, and pickles float chunks to the workers and logits back;
         chunk boundaries stay batch-aligned so the output is bit-identical
         to the single-process path.  One process pool is
         created per call — for repeated serving, keep a

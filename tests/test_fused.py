@@ -6,7 +6,7 @@ network — changes no numerics.  For any input, any model, any supported
 format, its output is ``array_equal`` (bytes, not tolerances) with
 :func:`repro.nn.posit_inference.reference_forward` over the same backend,
 whether run single-process, split at the code boundary, or sharded across
-worker processes through shared memory.
+worker processes.
 
 The encode-LUT parity tests are the foundation: the fused path's direct
 float64-bits encode table must agree with the boundary-searchsorted codec
@@ -199,7 +199,6 @@ class TestFusedPlanIdentity:
         assert [d["kind"] for d in desc].count("encode") == 3  # c1, c2, head
         assert all("table" in d["name"] for d in desc if d["kind"] == "encode")
         assert plan.input_rep == "codes"
-        assert plan.output_shape == (8,)
 
 
 class TestFusedRefusesFaults:
@@ -312,9 +311,8 @@ class TestFusedSharedMemory:
         assert stats["fallbacks"] == 0
 
     def test_float_entry_plan_uses_pickling_transport(self):
-        """A plan whose first layer is unquantized cannot pre-encode the
-        input; ParallelRunner must fall back to the pickling transport and
-        stay bit-identical."""
+        """A plan whose first layer is unquantized has no input encode;
+        ParallelRunner must still shard it bit-identically."""
         from repro.nn.layers import Dense, Flatten, ReLU
         from repro.nn.network import Sequential
 

@@ -4,7 +4,7 @@
 produced by the per-layer executors that preceded the compiled plan.  The
 reference semantics (:func:`reference_forward`) and every plan
 configuration — ``predict``, the single-process plan, the split code
-boundary, and shared-memory sharding across two workers — must reproduce
+boundary, and sharding across two workers — must reproduce
 those bytes exactly.  Pinning the bytes on disk (rather than comparing the
 plan against the reference live) catches the failure mode a live
 comparison cannot: a change that alters both numerics *together*.

@@ -258,6 +258,46 @@ def test_lns_add_table_carries_no_op_faults():
     assert not np.array_equal(faulty.add(codes, codes), clean.add(codes, codes))
 
 
+def test_via_phi_values_build_once_per_registry():
+    # Wider than the pairwise tables: the value table alone is keyed in
+    # the registry, so a second construction reuses it.
+    reg = _fresh_registry()
+    first = LNSBackend(LNSFormat(5, 9), registry=reg)
+    second = LNSBackend(LNSFormat(5, 9), registry=reg)
+    assert first.strategy == second.strategy == "via-phi"
+    assert (reg.stats()["misses"], reg.stats()["hits"]) == (1, 1)
+    assert first.values.tobytes() == second.values.tobytes()
+
+
+class _RecordingPlan(FaultPlan):
+    """A fault plan that records which registry entries it is handed."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sites = []
+
+    def corrupt_tables(self, site, tables):
+        self.sites.append((site, sorted(tables)))
+        return super().corrupt_tables(site, tables)
+
+
+def test_registry_lut_plan_reaches_lns_values_in_both_strategies():
+    # The plan is handed the via-phi value table, as it is handed the
+    # pairwise branch's.  Float tables are outside its integer flip
+    # domain, so both branches' values come back unflipped while the
+    # pairwise add table is corrupted.
+    plan = _RecordingPlan(seed=1, lut_rate=1.0)
+    reg = KernelRegistry(fault_plan=plan)
+    wide, narrow = LNSFormat(4, 5), LNSFormat(2, 3)
+    faulty_wide, faulty_narrow = LNSBackend(wide, registry=reg), LNSBackend(narrow, registry=reg)
+    clean_wide = LNSBackend(wide, registry=_fresh_registry())
+    clean_narrow = LNSBackend(narrow, registry=_fresh_registry())
+    assert plan.sites == [("lns_4_5_values", ["values"]), ("lns_2_3_tables", ["add", "values"])]
+    assert faulty_wide.values.tobytes() == clean_wide.values.tobytes()
+    assert faulty_narrow.values.tobytes() == clean_narrow.values.tobytes()
+    assert faulty_narrow.add_table.tobytes() != clean_narrow.add_table.tobytes()
+
+
 # ----------------------------------------------------------------------
 # Encode LUT
 # ----------------------------------------------------------------------
