@@ -63,6 +63,8 @@ def _base64_line(value):
             return {"dtype": str(v.dtype), "shape": list(v.shape), "data": data}
         if isinstance(v, dict):
             return {k: encode(x) for k, x in v.items()}
+        if isinstance(v, list):
+            return [encode(x) for x in v]
         return v
 
     return encode_line(encode(value))
@@ -97,9 +99,9 @@ def _drive_inflight(client, requests, inflight):
             if i is None:
                 return
             responses[i] = client.call(
-                interest_frame(requests[i], budget_ms=120_000.0),
+                interest_frame([requests[i]], [120_000.0]),
                 timeout_s=120.0,
-            )
+            )["answers"][0]
 
     threads = [threading.Thread(target=worker) for _ in range(inflight)]
     t0 = time.perf_counter()
@@ -135,9 +137,9 @@ def measurement():
         # One throwaway exec so the serial arm does not pay the node's
         # one-time posit table compilation.
         resp = client.call(
-            interest_frame(warm, budget_ms=120_000.0), timeout_s=120.0
+            interest_frame([warm], [120_000.0]), timeout_s=120.0
         )
-        assert resp["ok"]
+        assert resp["ok"] and resp["answers"][0]["ok"]
         for arm, inflight in enumerate(INFLIGHT_LEVELS):
             # Big enough (~4 ms of posit compute each) that the arms
             # measure execution overlap, not Python thread overhead.
@@ -171,8 +173,8 @@ def measurement():
     wire_req = _matmul_request(
         "wire", rng.normal(size=(16, 16)), rng.normal(size=(16, 16))
     )
-    binary_bytes = len(pack_frame(interest_frame(wire_req, budget_ms=1e3)))
-    base64_bytes = len(_base64_line(interest_frame(wire_req, budget_ms=1e3)))
+    binary_bytes = len(pack_frame(interest_frame([wire_req], [1e3])))
+    base64_bytes = len(_base64_line(interest_frame([wire_req], [1e3])))
     m["interest_bytes_binary"] = binary_bytes
     m["interest_bytes_base64"] = base64_bytes
     m["bytes_ratio"] = binary_bytes / base64_bytes
@@ -276,7 +278,7 @@ def test_fog_dataplane(benchmark, measurement, report):
         rng = np.random.default_rng(17)
         req = _matmul_request("hot", rng.normal(size=(6, 6)), rng.normal(size=(6, 6)))
         client.call({"op": "advertise", "batch_key": list(req.batch_key())})
-        frame = interest_frame(req, budget_ms=60_000.0)
+        frame = interest_frame([req], [60_000.0])
         client.call(frame, timeout_s=60.0)  # warm the store
         benchmark(lambda: client.call(frame, timeout_s=60.0))
     finally:

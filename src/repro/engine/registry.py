@@ -30,6 +30,7 @@ __all__ = [
     "KernelRegistry",
     "REGISTRY",
     "array_digest",
+    "dtype_name",
     "get_codec",
     "get_encode_table",
     "get_posit_tables",
@@ -59,6 +60,19 @@ def _digest(tables: Dict[str, np.ndarray]) -> bytes:
     return h.digest()
 
 
+#: ``str(dtype)`` costs microseconds per call and every array that is
+#: named or framed asks for it, so each dtype's name is spelled once.
+_DTYPE_NAMES: Dict[np.dtype, str] = {}
+
+
+def dtype_name(dtype: np.dtype) -> str:
+    """``str(dtype)``, memoized per dtype (``"float64"``, ``">f8"``, …)."""
+    name = _DTYPE_NAMES.get(dtype)
+    if name is None:
+        name = _DTYPE_NAMES[dtype] = str(dtype)
+    return name
+
+
 def array_digest(arr: np.ndarray) -> str:
     """Hex sha256 content name of one array: dtype + shape + bytes.
 
@@ -69,7 +83,7 @@ def array_digest(arr: np.ndarray) -> str:
     """
     a = np.ascontiguousarray(arr)
     h = hashlib.sha256()
-    h.update(str(a.dtype).encode())
+    h.update(dtype_name(a.dtype).encode())
     h.update(repr(a.shape).encode())
     h.update(a.tobytes())
     return h.hexdigest()

@@ -3,10 +3,12 @@
 :class:`FogExecutor` is a drop-in for the serve layer's
 :class:`~repro.serve.executor.EngineExecutor` contract (``execute(key,
 requests) -> list``, ``close``, ``restart``, ``stats``): the TCP front
-end's dynamic batcher hands it a coalesced batch, and each request routes
-through the :class:`~repro.fog.topology.FogTopology` as a named
-computation — cache hits served without re-execution, misses executed at
-the owning node, dead owners rerouted around.  Enable it on a server with
+end's dynamic batcher hands it a coalesced batch, and the batch routes
+through the fog :class:`~repro.fog.topology.Router` as one batch of named
+computations (:meth:`~repro.fog.topology.Router.submit_batch`) — duplicates
+collapsed, one interest per ingress node, cache hits served without
+re-execution, owned misses executed together at the node, dead owners
+rerouted around.  Enable it on a server with
 ``ServeConfig(fog_nodes=N)`` or ``python -m repro.serve --fog-nodes N``.
 
 Results are byte-identical to direct :class:`EngineExecutor` execution
@@ -64,22 +66,18 @@ class FogExecutor:
 
     # ------------------------------------------------------------------
     def execute(self, key: Tuple, requests: List[Request]) -> List[object]:
-        """Route each request through the fog; one result or exception each.
+        """Route the batch through the fog; one result or exception each.
 
         Mirrors :meth:`EngineExecutor.execute`'s resolve-don't-drop
         contract: a failing request (deadline, engine error, no alive
         owner) resolves to its exception without poisoning batch mates.
         """
-        results: List[object] = []
-        for request in requests:
-            try:
-                results.append(self.topology.submit(request))
-            except FogUnavailable as err:
-                # Surface as a coded wire error ("unavailable"), not an
-                # internal fault: the client may retry once churn settles.
-                results.append(ProtocolError(str(err), code="unavailable"))
-            except Exception as err:  # noqa: BLE001 — resolve, don't drop
-                results.append(err)
+        results = [
+            # Surface as a coded wire error ("unavailable"), not an
+            # internal fault: the client may retry once churn settles.
+            ProtocolError(str(result), code="unavailable") if isinstance(result, FogUnavailable) else result
+            for result in self.topology.submit_batch(requests)
+        ]
         self.executed += len(requests)
         self.metrics.inc("fog.serve_dispatches", len(requests))
         return results

@@ -18,10 +18,10 @@ half-open socket, a slow network — are the point:
   instead of queueing on a corpse until their deadlines drain.
 * **Wire integrity** — every answer's bytes must hash to the digest its
   producer pinned, or the answer is refused like a failed peer.
-* **Deadline budget across hops** — every interest carries its remaining
-  milliseconds; retries back off with deterministic jitter clamped to
-  what is left, and a peer receiving a spent budget refuses without
-  executing.  With ``hedge_ms`` set, a silent owner races a duplicate
+* **Deadline budget across hops** — every interest item carries its
+  remaining milliseconds; retries back off with deterministic jitter
+  clamped to what is left, and a peer receiving a spent budget refuses
+  that item without executing it.  With ``hedge_ms`` set, a silent owner races a duplicate
   interest to the next replica.
 * **Graceful degradation** — when every owner is unreachable the fabric
   executes *locally*, in-process (``degrade_local=True``, counted in
@@ -36,16 +36,18 @@ half-open socket, a slow network — are the point:
 
 from __future__ import annotations
 
+import math
 import threading
 import time
 from collections import OrderedDict
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
 from ..engine.observe import METRICS, Metrics
 from ..engine.registry import array_digest
 from ..serve.protocol import Request, carry_frame, decode_array, interest_frame
+from . import frames
 from .names import ComputationName, name_request  # noqa: F401 — wrapped by name by tracers
 from .peer import CircuitBreaker, PeerClient, PeerError
 from .supervisor import FabricSupervisor
@@ -56,6 +58,42 @@ __all__ = ["FogFabric", "PeerTransport", "retry_backoff_ms"]
 #: Hot-journal size: how many recent results are replayed into a freshly
 #: restarted node's content store (bounded so warm restart stays cheap).
 _HOT_JOURNAL = 64
+
+#: Bytes allowed per interest item, and per frame, for JSON header text
+#: (wire request fields, descriptors, digest) beside the raw arrays.
+_ITEM_HEADER_BYTES = 1024
+_FRAME_HEADER_BYTES = 4096
+
+
+def _wire_bytes(request: Request) -> Tuple[int, int]:
+    """Upper estimates of one item's bytes in an interest frame and in
+    its answer (a model's class scores are fewer than its inputs)."""
+    sent = sum(arr.nbytes for arr in (request.a, request.b, request.x) if arr is not None)
+    if request.workload == "nn_predict":
+        back = request.x.nbytes
+    else:
+        back = request.a.shape[0] * request.b.shape[1] * 8
+    return sent + _ITEM_HEADER_BYTES, back + _ITEM_HEADER_BYTES
+
+
+def _frame_groups(requests: Sequence[Request]) -> List[List[int]]:
+    """Split one node's interests, in order, so that every interest frame
+    and its response frame stay under ``MAX_FRAME_BYTES``."""
+    limit = frames.MAX_FRAME_BYTES - _FRAME_HEADER_BYTES
+    groups: List[List[int]] = []
+    current: List[int] = []
+    sent_total = back_total = 0
+    for i, request in enumerate(requests):
+        sent, back = _wire_bytes(request)
+        if current and (sent_total + sent > limit or back_total + back > limit):
+            groups.append(current)
+            current, sent_total, back_total = [], 0, 0
+        current.append(i)
+        sent_total += sent
+        back_total += back
+    if current:
+        groups.append(current)
+    return groups
 
 
 class PeerTransport:
@@ -118,42 +156,69 @@ class PeerTransport:
         except PeerError:
             pass  # the warm-restart hook re-advertises when it comes back
 
-    def interest(
-        self,
-        name: str,
-        cname: ComputationName,
-        request: Request,
-        deadline: float,
-        hedged: bool = False,
-    ) -> Optional[Answer]:
-        """One interest to one peer; ``None`` on any failure.
+    def interest(self, name: str, items: Sequence[tuple], hedged: bool = False) -> Callable[[], list]:
+        """Send ``(cname, request, deadline)`` items to one peer; returns
+        the collect callable (one :class:`Answer` or ``None`` per item).
 
-        A hedge leg rides a one-shot connection so an abandoned loser can
+        The items travel as one interest frame, split only where a frame
+        or its response would pass ``MAX_FRAME_BYTES``.  Items whose
+        budget is spent stay home, and any failure — send, wait, a bad
+        payload, a digest mismatch — declines the items it touches.  A
+        hedge leg rides a one-shot connection so an abandoned loser can
         never leave a stale response in the shared stream.
         """
+        answers: List[Optional[Answer]] = [None] * len(items)
         breaker = self.breakers[name]
         if not breaker.allow():
-            return None
-        remaining = (deadline - time.monotonic()) * 1e3
+            return lambda: answers
         client = self.supervisor.client(name)
-        if remaining <= 0 or client is None:
-            return None
-        try:
-            resp = client.call(
-                interest_frame(request, budget_ms=remaining),
-                timeout_s=min(self.request_timeout_s, remaining / 1e3),
-                oneshot=hedged,
+        now = time.monotonic()
+        budgets = [math.inf if deadline is None else (deadline - now) * 1e3 for _, _, deadline in items]
+        live = [i for i, budget in enumerate(budgets) if budget > 0]
+        if client is None or not live:
+            return lambda: answers
+        sent = []
+        for group in _frame_groups([items[i][1] for i in live]):
+            indices = [live[j] for j in group]
+            frame = interest_frame(
+                [items[i][1] for i in indices],
+                [None if math.isinf(budgets[i]) else budgets[i] for i in indices],
             )
-        except PeerError:
-            breaker.record_failure()
-            self.metrics.inc("fabric.peer_failures")
-            return None
-        breaker.record_success()
-        return self._accept(resp)
+            wait_s = min(self.request_timeout_s, max(budgets[i] for i in indices) / 1e3)
+            try:
+                ticket = client.send(frame, oneshot=hedged)
+            except PeerError:
+                self._peer_failed(breaker)
+                continue
+            sent.append((indices, ticket, time.monotonic() + wait_s))
 
-    def _accept(self, resp: dict) -> Optional[Answer]:
-        """Validate one peer response: decodable bytes, matching digest."""
-        if not resp.get("ok"):
+        def collect() -> List[Optional[Answer]]:
+            for indices, ticket, until in sent:
+                try:
+                    resp = client.wait(ticket, until - time.monotonic())
+                except PeerError:
+                    self._peer_failed(breaker)
+                    continue
+                breaker.record_success()
+                if not resp.get("ok"):
+                    continue  # the peer refused the frame: its items decline
+                got = resp.get("answers")
+                if not isinstance(got, list) or len(got) != len(indices):
+                    self.metrics.inc("fabric.bad_payloads")
+                    continue
+                for i, entry in zip(indices, got):
+                    answers[i] = self._accept(entry)
+            return answers
+
+        return collect
+
+    def _peer_failed(self, breaker: CircuitBreaker) -> None:
+        breaker.record_failure()
+        self.metrics.inc("fabric.peer_failures")
+
+    def _accept(self, resp) -> Optional[Answer]:
+        """Validate one item's answer: decodable bytes, matching digest."""
+        if not isinstance(resp, dict) or not resp.get("ok"):
             return None  # cant_serve / deadline / exec_failed: next candidate
         try:
             result = decode_array(resp.get("result"))
@@ -232,9 +297,9 @@ class FogFabric(Router):
 
     The :class:`~repro.fog.topology.Router` over a :class:`PeerTransport`;
     drop-in for :class:`~repro.fog.topology.FogTopology`'s serving
-    contract (``submit`` / ``close`` / ``restart`` / ``stats`` /
-    ``crash``), which is how :class:`~repro.fog.executor.FogExecutor`
-    serves through it unchanged.
+    contract (``submit_batch`` / ``submit`` / ``close`` / ``restart`` /
+    ``stats`` / ``crash``), which is how
+    :class:`~repro.fog.executor.FogExecutor` serves through it unchanged.
 
     Parameters:
         nodes: Node-process count, or explicit names.

@@ -20,10 +20,10 @@ debuggable) but moves array payloads out of the JSON entirely:
   follow the newline before the next frame starts.
 * :class:`FrameAssembler` is the incremental inverse: feed it raw socket
   bytes in any chunking and it yields complete frames with the arrays
-  restored **bit-identically** (``np.frombuffer`` over the exact producer
-  bytes — no float round-trip, no base64).  Malformed input of any kind
-  raises :class:`~repro.serve.protocol.ProtocolError`; nothing else
-  escapes.
+  restored **bit-identically** (read-only ``np.frombuffer`` views over
+  the exact producer bytes — no float round-trip, no base64).  Malformed
+  input of any kind raises :class:`~repro.serve.protocol.ProtocolError`;
+  nothing else escapes.
 
 A frame with no arrays degenerates to a plain NDJSON line (no ``bins``
 key), so heartbeats and acks stay readable on the wire.  Binary frames
@@ -37,6 +37,7 @@ from typing import Iterator, List, Optional, Tuple
 
 import numpy as np
 
+from ..engine.registry import dtype_name
 from ..serve.protocol import (
     MAX_ELEMENTS,
     ProtocolError,
@@ -63,7 +64,7 @@ def _lift(value, bodies: List[bytes]):
         # would silently promote 0-dim arrays to 1-d).
         descriptor = {
             _BIN_KEY: len(bodies),
-            "dtype": str(value.dtype),
+            "dtype": dtype_name(value.dtype),
             "shape": list(value.shape),
         }
         bodies.append(value.tobytes())
@@ -98,7 +99,7 @@ def pack_frame(frame: dict) -> bytes:
     return payload
 
 
-def _restore(value, bodies: List[bytes]):
+def _restore(value, bodies: List[memoryview]):
     """Inverse of :func:`_lift`: descriptors become verified arrays."""
     if isinstance(value, dict):
         if _BIN_KEY in value:
@@ -109,7 +110,13 @@ def _restore(value, bodies: List[bytes]):
     return value
 
 
-def _decode_descriptor(desc: dict, bodies: List[bytes]) -> np.ndarray:
+def _decode_descriptor(desc: dict, bodies: List[memoryview]) -> np.ndarray:
+    """A read-only array over its segment of the frame body.
+
+    No copy here: the body is immutable, and the handler that keeps an
+    array takes its one private copy through
+    :func:`~repro.serve.protocol.decode_array`.
+    """
     try:
         index = int(desc[_BIN_KEY])
         dtype = np.dtype(str(desc["dtype"]))
@@ -135,7 +142,7 @@ def _decode_descriptor(desc: dict, bodies: List[bytes]) -> np.ndarray:
             f"binary segment {index} is {len(raw)} bytes, "
             f"expected {count * dtype.itemsize} for {dtype}{shape}"
         )
-    return np.frombuffer(raw, dtype=dtype).reshape(shape).copy()
+    return np.frombuffer(raw, dtype=dtype).reshape(shape)
 
 
 def unpack_frame(header: dict, body: bytes) -> dict:
@@ -154,10 +161,11 @@ def unpack_frame(header: dict, body: bytes) -> dict:
         raise ProtocolError(
             f"frame body is {len(body)} bytes, header promises {sum(lengths)}"
         )
-    bodies: List[bytes] = []
+    view = memoryview(body)
+    bodies: List[memoryview] = []
     offset = 0
     for n in lengths:
-        bodies.append(body[offset : offset + n])
+        bodies.append(view[offset : offset + n])
         offset += n
     restored = {
         k: _restore(v, bodies) for k, v in header.items() if k != "bins"
@@ -226,7 +234,7 @@ class FrameAssembler:
             self._body_len = body_len
         if len(self._buf) < self._body_len:
             return None
-        body = bytes(self._buf[: self._body_len])
+        body = bytes(memoryview(self._buf)[: self._body_len])
         del self._buf[: self._body_len]
         header, self._header = self._header, None
         try:

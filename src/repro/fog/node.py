@@ -10,20 +10,21 @@ produced or carried.  Kernel tables themselves come from the process-wide
 
 Nodes are deliberately passive about routing: the
 :class:`~repro.fog.topology.Router` decides where an interest goes; the
-node only answers "can I serve this name?" three ways — from cache, by
-local execution, or not at all (:meth:`FogNode.answer`, the one answer
-path behind both the in-process topology and the fabric's node
-processes).  Crashing a node flips ``alive`` and wipes its content store
-(volatile memory is what crashes take with them); its advertisement
-survives, which is exactly why stale routes need the router's reroute
-path.
+node only answers "can I serve these names?" three ways per item — from
+cache, by local execution, or not at all (:meth:`FogNode.answer`, the one
+answer path behind both the in-process topology and the fabric's node
+processes).  An interest carries a list of names: owned misses of one
+capability execute as one engine batch.  Crashing a node flips ``alive``
+and wipes its content store (volatile memory is what crashes take with
+them); its advertisement survives, which is exactly why stale routes
+need the router's reroute path.
 """
 
 from __future__ import annotations
 
 import threading
 import time
-from typing import Dict, FrozenSet, Optional, Tuple
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -31,10 +32,14 @@ from ..engine.observe import METRICS, Metrics
 from ..engine.registry import REGISTRY
 from ..serve.executor import EngineExecutor
 from ..serve.protocol import Request
-from .names import ComputationName, name_request
+from .names import ComputationName, name_request  # noqa: F401 — wrapped by name by tracers
 from .store import ContentStore
 
-__all__ = ["FogNode", "NodeDown"]
+__all__ = ["FogNode", "NodeAnswer", "NodeDown"]
+
+#: One item's answer from :meth:`FogNode.answer`: ``(result, source)``,
+#: ``None`` (declined) or the exception its execution resolved to.
+NodeAnswer = Union[None, Tuple[np.ndarray, str], Exception]
 
 
 class NodeDown(Exception):
@@ -95,50 +100,74 @@ class FogNode:
             self.metrics.inc(f"fog.node.{self.name}.cache_misses")
         return result
 
-    def answer(self, name: ComputationName, request: Request) -> Optional[Tuple[np.ndarray, str]]:
-        """Answer one interest: ``(result, "cache" | "exec")``, or ``None``.
+    def answer(self, items: Sequence[Tuple[ComputationName, Request]]) -> List[NodeAnswer]:
+        """Answer one interest frame's ``(name, request)`` items, in order.
 
-        Lookup, then execution if this node owns the capability, else
-        decline.  Executions of one capability serialize on a lock, and an
-        interest that queued behind a duplicate finds its result in the
-        store instead of executing again (node-side singleflight).
-        Raises :class:`NodeDown` when down, or whatever the engine raised.
+        Each item is answered ``(result, "cache")`` from the content store,
+        else ``(result, "exec")`` if this node owns its capability, else
+        declined (``None``).  Owned misses of one capability run as one
+        engine batch under that capability's lock, and the store is
+        re-checked under the lock: an item that queued behind a duplicate
+        finds its result there instead of executing again (node-side
+        singleflight).  An engine failure resolves its own item to the
+        exception instance.  Raises :class:`NodeDown` when down.
         """
-        cached = self.lookup(name)
-        if cached is not None:
-            return cached, "cache"
-        key = request.batch_key()
-        if not self.serves(key):
-            return None
-        with self._exec_locks_guard:
-            lock = self._exec_locks.setdefault(key, threading.Lock())
-        with lock:
-            if name.uri() in self.store:
-                cached = self.lookup(name)
-                if cached is not None:
-                    return cached, "cache"
-            return self.execute(request), "exec"
+        out: List[NodeAnswer] = [None] * len(items)
+        misses: Dict[Tuple, List[int]] = {}
+        for i, (name, request) in enumerate(items):
+            cached = self.lookup(name)
+            if cached is not None:
+                out[i] = (cached, "cache")
+                continue
+            key = request.batch_key()
+            if self.serves(key):
+                misses.setdefault(key, []).append(i)
+        for key, indices in misses.items():
+            with self._exec_locks_guard:
+                lock = self._exec_locks.setdefault(key, threading.Lock())
+            with lock:
+                todo = []
+                for i in indices:
+                    name = items[i][0]
+                    if name.uri() in self.store:
+                        cached = self.lookup(name)
+                        if cached is not None:
+                            out[i] = (cached, "cache")
+                            continue
+                    todo.append(i)
+                if todo:
+                    results = self.execute([items[i] for i in todo])
+                    for i, result in zip(todo, results):
+                        out[i] = result if isinstance(result, Exception) else (result, "exec")
+        return out
 
-    def execute(self, request: Request) -> np.ndarray:
-        """Execute one named computation locally and cache the result.
+    def execute(self, items: Sequence[Tuple[ComputationName, Request]]) -> List[object]:
+        """Execute named computations of one capability as one engine batch.
 
-        Raises whatever the engine raises (``DeadlineExceeded``,
-        ``ProtocolError``, …) — execution errors are the caller's to
-        answer, only *successes* are worth naming and caching.
+        Every success is cached under its name, costed at its rows' share
+        of the batch's wall time.  Returns one result *or exception* per
+        item, like :meth:`EngineExecutor.execute
+        <repro.serve.executor.EngineExecutor.execute>`: execution errors
+        (``DeadlineExceeded``, ``ProtocolError``, …) are the caller's to
+        answer, only *successes* are worth caching.  Raises
+        :class:`NodeDown` when down.
         """
         if not self.alive:
             raise NodeDown(self.name)
-        key = request.batch_key()
+        requests = [request for _, request in items]
         started = time.perf_counter()
-        results = self.executor.execute(key, [request])
-        result = results[0]
-        if isinstance(result, Exception):
-            raise result
-        cost_ms = (time.perf_counter() - started) * 1e3
-        self.executions += 1
-        self.metrics.inc(f"fog.node.{self.name}.executions")
-        self.carry(name_request(request), result, cost_ms=cost_ms)
-        return np.asarray(result)
+        results = self.executor.execute(requests[0].batch_key(), requests)
+        elapsed_ms = (time.perf_counter() - started) * 1e3
+        rows = sum(request.rows for request in requests)
+        out: List[object] = []
+        for (name, request), result in zip(items, results):
+            if not isinstance(result, Exception):
+                result = np.asarray(result)
+                self.executions += 1
+                self.metrics.inc(f"fog.node.{self.name}.executions")
+                self.carry(name, result, cost_ms=elapsed_ms * request.rows / rows)
+            out.append(result)
+        return out
 
     def carry(
         self,

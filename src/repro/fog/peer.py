@@ -3,8 +3,9 @@
 The cross-process half of the fog lives here.  :func:`node_main` is the
 entry point of one spawned **node process**: it binds an ephemeral
 localhost socket, reports the port back through a pipe, and serves
-:mod:`repro.fog.frames` binary frames — ``interest`` (answer from the
-content store or execute locally), ``carry`` (on-path cache
+:mod:`repro.fog.frames` binary frames — ``interest`` (a list of items,
+each answered from the content store or executed locally, owned misses
+of one capability as one engine batch), ``carry`` (on-path cache
 repopulation, digest-verified before insertion), ``advertise``,
 ``heartbeat``, ``stats`` and ``shutdown``.
 Inside, the process is just a :class:`~repro.fog.node.FogNode` answering
@@ -18,7 +19,9 @@ the fabric routes through.  Every frame carries a client-assigned request
 id (``rid``); a writer lock serializes sends on the persistent data
 connection while a demux thread reads responses and completes the matching
 per-request future — so N in-flight interests share one connection at
-pipeline depth N instead of paying N serial round trips.  Because
+pipeline depth N instead of paying N serial round trips.  ``call`` is
+``send`` then ``wait``, and the router uses the halves apart: it sends a
+batch's interest to every node before it waits on any.  Because
 responses are rid-correlated, a timed-out request simply abandons its id
 (the late answer is discarded and counted) **without** tearing down the
 stream; only socket-level failures drop the connection, failing every
@@ -45,7 +48,7 @@ import socket
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -53,6 +56,7 @@ from ..engine.observe import METRICS, Metrics
 from ..engine.registry import array_digest
 from ..serve.protocol import ProtocolError, decode_array, heartbeat_frame, request_from_wire
 from .frames import FrameAssembler, pack_frame
+from .names import ComputationName, name_request
 
 __all__ = ["CircuitBreaker", "PeerClient", "PeerError", "node_main"]
 
@@ -180,14 +184,17 @@ class CircuitBreaker:
 # Parent-side client
 # ----------------------------------------------------------------------
 class _Waiter:
-    """One in-flight request's completion slot."""
+    """One sent request's completion slot (the ticket :meth:`PeerClient.send`
+    returns): a pipelined ``rid``, or the dedicated socket of a one-shot."""
 
-    __slots__ = ("event", "response", "error")
+    __slots__ = ("event", "response", "error", "rid", "sock")
 
-    def __init__(self):
+    def __init__(self, rid: Optional[int] = None, sock: Optional[socket.socket] = None):
         self.event = threading.Event()
         self.response: Optional[dict] = None
         self.error: Optional[PeerError] = None
+        self.rid = rid
+        self.sock = sock
 
 
 class PeerClient:
@@ -337,11 +344,11 @@ class PeerClient:
     ) -> dict:
         """Send one frame, await its response frame; raises :class:`PeerError`.
 
-        The persistent path pipelines: concurrent callers interleave on
-        one connection and are completed by rid.  ``oneshot=True`` dials a
-        dedicated connection for this exchange — what hedged interests use
-        so an abandoned loser can never leave a stale response in the
-        shared stream.
+        :meth:`send` then :meth:`wait`.  The persistent path pipelines:
+        concurrent callers interleave on one connection and are completed
+        by rid.  ``oneshot=True`` dials a dedicated connection for this
+        exchange — what hedged interests use so an abandoned loser can
+        never leave a stale response in the shared stream.
         """
         timeout = self.request_timeout_s if timeout_s is None else float(timeout_s)
         if timeout <= 0:
@@ -349,17 +356,31 @@ class PeerClient:
             # wire, instead of racing the peer's answer.
             self.metrics.inc("fabric.peer.call_timeouts")
             raise PeerError(f"call to {self.name} with no time left ({timeout:.3f}s)")
-        if oneshot:
-            return self._call_oneshot(frame, timeout)
-        with self._io_lock:
-            sock, generation = self._ensure_connected_locked()
-            self._rid += 1
-            rid = self._rid
+        return self.wait(self.send(frame, oneshot=oneshot), timeout)
+
+    def send(self, frame: dict, oneshot: bool = False) -> _Waiter:
+        """Put one frame on the wire; returns the ticket :meth:`wait` takes.
+
+        Sending several frames before waiting on any lets one caller keep
+        many nodes (or one node's pool) busy at once.
+        """
         try:
+            if oneshot:
+                sock = self._connect()
+                try:
+                    sock.sendall(pack_frame(frame))
+                except (OSError, ProtocolError) as err:
+                    sock.close()
+                    raise PeerError(f"oneshot send to {self.name}: {err}")
+                return _Waiter(sock=sock)
+            with self._io_lock:
+                sock, generation = self._ensure_connected_locked()
+                self._rid += 1
+                rid = self._rid
             payload = pack_frame({**frame, "rid": rid})
         except ProtocolError as err:
             raise PeerError(f"unsendable frame for {self.name}: {err}")
-        waiter = _Waiter()
+        waiter = _Waiter(rid=rid)
         with self._io_lock:
             if self._cur_gen != generation:
                 raise PeerError(f"connection to {self.name} failed while queueing")
@@ -374,35 +395,39 @@ class PeerClient:
                 generation, PeerError(f"send to {self.name}: {err}")
             )
             raise PeerError(f"send to {self.name}: {err}")
+        return waiter
+
+    def wait(self, waiter: _Waiter, timeout_s: Optional[float] = None) -> dict:
+        """The response to a :meth:`send`; raises :class:`PeerError`.
+
+        A pipelined request that times out abandons its rid (a late
+        answer is discarded as an orphan) without dropping the stream.
+        """
+        timeout = self.request_timeout_s if timeout_s is None else max(0.0, float(timeout_s))
+        if waiter.sock is not None:
+            sock = waiter.sock
+            try:
+                sock.settimeout(timeout if timeout > 0 else 1e-6)
+                return self._read_one(sock, f"oneshot call to {self.name}")
+            except OSError as err:
+                raise PeerError(f"oneshot call to {self.name}: {err}")
+            finally:
+                try:
+                    sock.close()
+                except OSError:
+                    pass
         if not waiter.event.wait(timeout):
             with self._io_lock:
-                self._pending.pop(rid, None)
+                self._pending.pop(waiter.rid, None)
             self.metrics.inc("fabric.peer.call_timeouts")
             # rid-correlation means the stream survives: only this
             # request is abandoned, not the pipeline.
             raise PeerError(
-                f"request {rid} to {self.name} timed out after {timeout:.3f}s"
+                f"request {waiter.rid} to {self.name} timed out after {timeout:.3f}s"
             )
         if waiter.error is not None:
             raise waiter.error
         return waiter.response
-
-    def _call_oneshot(self, frame: dict, timeout: float) -> dict:
-        sock = self._connect()
-        try:
-            sock.settimeout(timeout)
-            try:
-                sock.sendall(pack_frame(frame))
-            except ProtocolError as err:
-                raise PeerError(f"unsendable frame for {self.name}: {err}")
-            return self._read_one(sock, f"oneshot call to {self.name}")
-        except OSError as err:
-            raise PeerError(f"oneshot call to {self.name}: {err}")
-        finally:
-            try:
-                sock.close()
-            except OSError:
-                pass
 
     def _read_one(
         self,
@@ -536,33 +561,50 @@ class _NodeServer:
         return {"ok": False, "error": "bad_request", "message": f"unknown op {op!r}"}
 
     def _interest(self, frame: dict) -> dict:
-        budget_ms = frame.get("budget_ms")
-        if budget_ms is not None and float(budget_ms) <= 0.0:
-            # The forwarded deadline budget is spent: refuse, never work
-            # past a deadline another hop already consumed.
-            return {"ok": False, "error": "deadline", "message": "budget exhausted"}
-        try:
-            request = request_from_wire(frame.get("request"))
-        except ProtocolError as err:
-            return {"ok": False, "error": err.code, "message": str(err)}
-        from .names import name_request  # local import: avoid cycle at module load
+        """Answer every item of one interest frame, one entry each, in order.
 
-        name = name_request(request)
+        A malformed item refuses the whole frame (``bad_request``: the
+        sending peer is broken); a spent budget refuses only its item.
+        """
+        items = frame.get("items")
+        if not isinstance(items, list) or not items:
+            return {"ok": False, "error": "bad_request", "message": "interest needs a non-empty 'items' list"}
+        answers: List[Optional[dict]] = [None] * len(items)
+        todo = []
         try:
-            found = self.node.answer(name, request)
+            for i, item in enumerate(items):
+                if not isinstance(item, dict):
+                    raise ProtocolError(f"interest item {i} is not an object")
+                budget_ms = item.get("budget_ms")
+                if budget_ms is not None and float(budget_ms) <= 0.0:
+                    # The forwarded deadline budget is spent: refuse, never
+                    # work past a deadline another hop already consumed.
+                    answers[i] = {"ok": False, "error": "deadline", "message": "budget exhausted"}
+                    continue
+                request = request_from_wire(item.get("request"))
+                todo.append((i, name_request(request), request))
+        except (ProtocolError, TypeError, ValueError) as err:
+            return {"ok": False, "error": getattr(err, "code", "bad_request"), "message": str(err)}
+        try:
+            found = self.node.answer([(name, request) for _, name, request in todo]) if todo else []
         except Exception as err:  # noqa: BLE001 — resolve over the wire
-            return {
-                "ok": False,
-                "error": "exec_failed",
-                "message": f"{type(err).__name__}: {err}",
-            }
-        if found is None:
-            return {
-                "ok": False,
-                "error": "cant_serve",
-                "message": f"{self.node.name} does not own {request.batch_key()}",
-            }
-        return self._result(name, *found)
+            found = [err] * len(todo)
+        for (i, name, request), got in zip(todo, found):
+            if got is None:
+                answers[i] = {
+                    "ok": False,
+                    "error": "cant_serve",
+                    "message": f"{self.node.name} does not own {request.batch_key()}",
+                }
+            elif isinstance(got, Exception):
+                answers[i] = {
+                    "ok": False,
+                    "error": "exec_failed",
+                    "message": f"{type(got).__name__}: {got}",
+                }
+            else:
+                answers[i] = self._result(name, *got)
+        return {"ok": True, "answers": answers}
 
     def _result(self, name, result: np.ndarray, source: str) -> dict:
         resp = {
@@ -589,8 +631,6 @@ class _NodeServer:
             self.node.store.integrity_failures += 1
             self.node.metrics.inc(f"fog.node.{self.node.name}.carry_rejected")
             return {"ok": True, "accepted": False}
-        from .names import ComputationName
-
         try:
             name = ComputationName.parse(str(frame.get("name")))
         except ValueError as err:

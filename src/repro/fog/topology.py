@@ -11,19 +11,26 @@ only in the *transport* it reaches nodes through:
 The router assigns each capability (serve-layer batch key) to
 ``replicas`` owner nodes by **rendezvous hashing** — deterministic, stable
 under membership churn, and with a built-in fallback order — and drives
-the NFN request walk:
+the NFN request walk over a whole batch (:meth:`Router.submit_batch`;
+:meth:`Router.submit` is its one-item case):
 
-1. the interest enters at an ingress node (round-robin over routable nodes);
+1. each interest enters at an ingress node (round-robin over routable
+   nodes, per leader), and every ingress node gets the batch's interests
+   for it as **one** interest, all of them sent before any answer is
+   awaited;
 2. the ingress answers from its content store, or executes if it owns the
-   capability (:meth:`FogNode.answer <repro.fog.node.FogNode.answer>`);
-3. otherwise it is **forwarded** to the capability's owners in rendezvous
-   order — skipping the primary counts a *reroute* — each owner with its
-   retry budget and, optionally, a hedge racing the next replica;
+   capability — owned misses of one capability as one engine batch
+   (:meth:`FogNode.answer <repro.fog.node.FogNode.answer>`);
+3. what it declines or fails is **forwarded**, item by item, to the
+   capability's owners in rendezvous order — skipping the primary counts
+   a *reroute* — each owner with its retry budget and, optionally, a
+   hedge racing the next replica;
 4. an owner's answer rides the reverse path back into the ingress store
    (on-path caching, so repeated interests hit where they enter).
 
-Duplicate in-flight interests collapse onto one walk (singleflight), and
-each walk spends one deadline budget.  What no owner can answer is
+Duplicate interests — inside a batch or already in flight — collapse onto
+one walk (singleflight), and each request spends its own deadline
+budget.  What no owner can answer is
 executed locally (``degrade_local``, counted) or rejected with
 :class:`FogUnavailable`: the fog rejects what it cannot serve, it never
 fabricates or drops an accepted answer.  Node loss is first-class:
@@ -39,7 +46,7 @@ import math
 import threading
 import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
-from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -132,15 +139,36 @@ class _Gate:
         self.error: Optional[BaseException] = None
 
 
+class _Item:
+    """One leader interest on its walk through the fog."""
+
+    __slots__ = ("request", "name", "uri", "deadline", "gate", "entry", "path")
+
+    def __init__(self, request: Request, name: ComputationName, deadline: Optional[float]):
+        self.request = request
+        self.name = name
+        self.uri = name.uri()
+        self.deadline = deadline
+        self.gate: Optional[_Gate] = None
+        self.entry: Optional[str] = None
+        #: Nodes already asked (and declined or failed), in order.
+        self.path: List[str] = []
+
+
 class LocalTransport:
     """The router's reach into in-process :class:`FogNode`\\ s.
 
     A transport is the mechanism half of the fog: ``names`` (the roster),
-    ``routable(name)``, ``advertise(name, key)``, ``interest(...)`` →
-    :class:`Answer` or ``None``, ``carry(...)`` → accepted, and
-    ``remember(uri, answer)`` for whatever the transport keeps of
-    completed walks.  Here liveness is the ``alive`` flag, a dead node
-    declines (a stale route, not an error), and engine errors propagate.
+    ``routable(name)``, ``advertise(name, key)``, ``interest(name,
+    items)`` for a list of ``(cname, request, deadline)`` items,
+    ``carry(...)`` → accepted, and ``remember(uri, answer)`` for whatever
+    the transport keeps of completed walks.  ``interest`` puts the items
+    on their way and returns a *collect* callable; collecting yields one
+    :class:`Answer`, ``None`` (declined or failed) or exception instance
+    (an engine error to resolve the item with) per item.  The router
+    sends to every node it needs before it collects from any.  Here
+    liveness is the ``alive`` flag, a dead node declines (a stale route,
+    not an error), and the node answers while the interest is sent.
     """
 
     def __init__(self, nodes: Sequence[FogNode]):
@@ -153,19 +181,13 @@ class LocalTransport:
     def advertise(self, name: str, batch_key: Tuple) -> None:
         self.nodes[name].advertise(batch_key)
 
-    def interest(
-        self,
-        name: str,
-        cname: ComputationName,
-        request: Request,
-        deadline: Optional[float],
-        hedged: bool = False,
-    ) -> Optional[Answer]:
+    def interest(self, name: str, items: Sequence[tuple], hedged: bool = False) -> Callable[[], list]:
         try:
-            found = self.nodes[name].answer(cname, request)
+            found = self.nodes[name].answer([(cname, request) for cname, request, _ in items])
         except NodeDown:
-            return None
-        return None if found is None else Answer(*found)
+            found = [None] * len(items)
+        answers = [got if got is None or isinstance(got, Exception) else Answer(*got) for got in found]
+        return lambda: answers
 
     def carry(self, name: str, cname: ComputationName, answer: Answer) -> bool:
         self.nodes[name].carry(cname, answer.result, cost_ms=answer.cost)
@@ -301,7 +323,7 @@ class Router:
         return name
 
     # ------------------------------------------------------------------
-    # Submission: singleflight over the walk
+    # Submission: singleflight over the batch walk
     # ------------------------------------------------------------------
     def submit(
         self,
@@ -311,64 +333,92 @@ class Router:
     ) -> np.ndarray:
         """Route one named computation through the fog; return its result.
 
-        ``ingress`` pins the entry node (default: round-robin).  The
-        deadline budget is ``budget_ms``, else the request's own deadline,
-        else ``default_budget_ms``.
-
-        Duplicate in-flight interests for the same name **collapse**
-        (NFN interest aggregation): the first becomes the leader and walks
-        the fog; the rest wait on its gate, counted in ``collapsed``.  A
-        collapsed waiter honors its own deadline, and if the leader fails
-        it walks again as leader with whatever budget it has left.
-
-        Raises :class:`DeadlineExceeded` (budget spent),
-        :class:`FogUnavailable` (no owner reachable, degradation off), or
-        whatever the executing engine raised — rejected, never wrong.
+        The one-item case of :meth:`submit_batch`.  Raises
+        :class:`DeadlineExceeded` (budget spent), :class:`FogUnavailable`
+        (no owner reachable, degradation off), or whatever the executing
+        engine raised — rejected, never wrong.
         """
-        self.submitted += 1
-        self._count("submitted")
+        result = self.submit_batch([request], ingress=ingress, budget_ms=budget_ms)[0]
+        if isinstance(result, BaseException):
+            raise result
+        return result
+
+    def submit_batch(
+        self,
+        requests: Sequence[Request],
+        ingress: Optional[str] = None,
+        budget_ms: Optional[float] = None,
+    ) -> List[object]:
+        """Route a batch of named computations; one result *or exception* each.
+
+        ``ingress`` pins the entry node (default: round-robin per leader).
+        Each request's deadline budget is ``budget_ms``, else its own
+        deadline, else ``default_budget_ms``.
+
+        Every request is named once.  Duplicates **collapse** (NFN
+        interest aggregation), inside the batch and against interests
+        already in flight: the first becomes the leader and walks the fog;
+        the rest wait on its gate, counted in ``collapsed``.  A collapsed
+        waiter honors its own deadline, and if the leader fails it walks
+        again as leader with whatever budget it has left.  Failures
+        resolve per request, like :meth:`EngineExecutor.execute`:
+        :class:`DeadlineExceeded`, :class:`FogUnavailable`, or whatever
+        the executing engine raised — rejected, never wrong.
+        """
         t0 = time.monotonic()
-        deadline = request.deadline_s
-        if budget_ms is None and deadline is None:
-            budget_ms = self.default_budget_ms
-        if budget_ms is not None:
-            deadline = t0 + max(0.0, float(budget_ms)) / 1e3
-        name = name_request(request)
-        uri = name.uri()
-        while True:
+        self.submitted += len(requests)
+        self._count("submitted", len(requests))
+        items: List[_Item] = []
+        for request in requests:
+            deadline = request.deadline_s
+            budget = budget_ms
+            if budget is None and deadline is None:
+                budget = self.default_budget_ms
+            if budget is not None:
+                deadline = t0 + max(0.0, float(budget)) / 1e3
+            items.append(_Item(request, name_request(request), deadline))
+        results: List[object] = [None] * len(items)
+        waiting = list(range(len(items)))
+        while waiting:
+            leaders: List[_Item] = []
+            followers = set()
             with self._lock:
-                gate = self._inflight.get(uri)
-                leading = gate is None
-                if leading:
-                    gate = self._inflight[uri] = _Gate()
-            if leading:
-                try:
-                    entry = ingress if ingress is not None else self._next_ingress()
-                    with TRACER.span(f"{self.prefix}.submit", interest=uri, ingress=entry):
-                        answer = self._walk(name, request, entry, deadline)
-                    self.transport.remember(uri, answer)
-                    result = gate.result = answer.result
-                except BaseException as err:
-                    gate.error = err
-                    raise
-                finally:
-                    with self._lock:
-                        self._inflight.pop(uri, None)
-                    gate.event.set()
-            else:
-                self.collapsed += 1
-                self._count("collapsed")
-                remaining_s = None if deadline is None else deadline - time.monotonic()
-                if (remaining_s is not None and remaining_s <= 0) or not gate.event.wait(remaining_s):
-                    self._count("deadline_exhausted")
-                    raise DeadlineExceeded(f"deadline passed waiting on collapsed interest {uri}")
-                if gate.error is not None:
-                    continue  # leader failed: walk it ourselves
-                result = gate.result
-            self.completed += 1
-            self._count("completed")
-            self.metrics.observe(f"{self.prefix}.submit_s", time.monotonic() - t0)
-            return result
+                for i in waiting:
+                    item = items[i]
+                    gate = self._inflight.get(item.uri)
+                    if gate is None:
+                        item.gate = self._inflight[item.uri] = _Gate()
+                        leaders.append(item)
+                    else:
+                        item.gate = gate
+                        followers.add(i)
+            if followers:
+                self.collapsed += len(followers)
+                self._count("collapsed", len(followers))
+            if leaders:
+                self._lead(leaders, ingress)
+            retry = []
+            for i in waiting:
+                item = items[i]
+                gate = item.gate
+                if i in followers:
+                    remaining_s = None if item.deadline is None else max(0.0, item.deadline - time.monotonic())
+                    if not gate.event.wait(remaining_s):
+                        self._count("deadline_exhausted")
+                        results[i] = DeadlineExceeded(f"deadline passed waiting on collapsed interest {item.uri}")
+                        continue
+                    if gate.error is not None:
+                        retry.append(i)  # leader failed: walk it ourselves
+                        continue
+                elif gate.error is not None:
+                    results[i] = gate.error
+                    continue
+                results[i] = gate.result
+                self.completed += 1
+                self._count("completed")
+                self.metrics.observe(f"{self.prefix}.submit_s", time.monotonic() - t0)
+            waiting = retry
+        return results
 
     # ------------------------------------------------------------------
     # The walk
@@ -377,26 +427,71 @@ class Router:
     def _remaining_ms(deadline: Optional[float]) -> float:
         return math.inf if deadline is None else (deadline - time.monotonic()) * 1e3
 
-    def _walk(
-        self,
-        name: ComputationName,
-        request: Request,
-        entry: Optional[str],
-        deadline: Optional[float],
-    ) -> Answer:
+    def _lead(self, items: List[_Item], ingress: Optional[str]) -> None:
+        """Walk the leaders, then open their gates, each resolved."""
+        try:
+            with TRACER.span(f"{self.prefix}.submit", interests=len(items)):
+                self._walk(items, ingress)
+        except BaseException as err:
+            for item in items:
+                if item.gate.result is None and item.gate.error is None:
+                    item.gate.error = err
+            if not isinstance(err, Exception):
+                raise
+        finally:
+            with self._lock:
+                for item in items:
+                    self._inflight.pop(item.uri, None)
+            for item in items:
+                item.gate.event.set()
+
+    def _walk(self, items: List[_Item], ingress: Optional[str]) -> None:
+        """Hop 1 for the whole batch, then the owner ladder per declined item."""
+        transport = self.transport
+        for item in items:
+            # Ownership first: owners learn their capabilities before any
+            # of them is asked to serve it.
+            self.owner_names(item.request.batch_key())
+        # Hop 1 — the ingress edge nodes (round-robin per leader): cache
+        # answers or owner executions.  One interest per ingress node,
+        # every one on its way before any is collected.
+        groups: Dict[str, List[_Item]] = {}
+        for item in items:
+            item.entry = ingress if ingress is not None else self._next_ingress()
+            if item.entry is not None and self._remaining_ms(item.deadline) > 0:
+                groups.setdefault(item.entry, []).append(item)
+        sent = [
+            (group, transport.interest(entry, [(it.name, it.request, it.deadline) for it in group]))
+            for entry, group in groups.items()
+        ]
+        for group, collect in sent:
+            for item, answer in zip(group, collect()):
+                if isinstance(answer, BaseException):
+                    item.gate.error = answer
+                elif answer is not None:
+                    self._resolve(item, self._counted(answer))
+                else:
+                    item.path.append(item.entry)
+        # Hop 2..n — what hop 1 left open walks the owner ladder alone.
+        for item in items:
+            if item.gate.result is None and item.gate.error is None:
+                try:
+                    self._resolve(item, self._ladder(item))
+                except Exception as err:  # noqa: BLE001 — resolve, don't drop
+                    item.gate.error = err
+
+    def _resolve(self, item: _Item, answer: Answer) -> None:
+        self.transport.remember(item.uri, answer)
+        item.gate.result = answer.result
+
+    def _ladder(self, item: _Item) -> Answer:
+        """The capability's owners in rendezvous order, skipping whoever was
+        already asked, each with its retry budget; then degradation."""
+        name, request, entry, deadline, path = item.name, item.request, item.entry, item.deadline, item.path
         key = request.batch_key()
         owners = self.owner_names(key)
         primary = owners[0]
         transport = self.transport
-        # Hop 1 — the ingress edge node: cache answer or owner execution.
-        path: List[str] = []
-        if entry is not None and self._remaining_ms(deadline) > 0:
-            answer = transport.interest(entry, name, request, deadline)
-            if answer is not None:
-                return self._counted(answer)
-            path.append(entry)
-        # Hop 2..n — the owners in rendezvous order, skipping whoever was
-        # already asked, each with its retry budget.
         for idx, owner in enumerate(owners):
             if owner in path or not transport.routable(owner):
                 continue
@@ -429,15 +524,28 @@ class Router:
             path.append(owner)
         if self._remaining_ms(deadline) <= 0:
             self._count("deadline_exhausted")
-            raise DeadlineExceeded(f"deadline budget spent routing {name.uri()} (tried {sorted(path)})")
+            raise DeadlineExceeded(f"deadline budget spent routing {item.uri} (tried {sorted(path)})")
         # Degradation ladder, last rung: every owner unreachable — serve
         # the request locally (counted) rather than serving nothing.
         if self.degrade_local:
             return self._execute_local(request)
         self.unavailable += 1
         self._count("unavailable")
-        uri = name.uri()
-        raise FogUnavailable(f"no reachable owner for {_slug(key)} (interest {uri})", name=uri)
+        raise FogUnavailable(f"no reachable owner for {_slug(key)} (interest {item.uri})", name=item.uri)
+
+    def _interest(
+        self,
+        node: str,
+        name: ComputationName,
+        request: Request,
+        deadline: Optional[float],
+        hedged: bool = False,
+    ) -> Optional[Answer]:
+        """One interest of one item to one node (the ladder's step)."""
+        answer = self.transport.interest(node, [(name, request, deadline)], hedged=hedged)()[0]
+        if isinstance(answer, BaseException):
+            raise answer
+        return answer
 
     def _counted(self, answer: Answer) -> Answer:
         if answer.source == "cache":
@@ -472,7 +580,7 @@ class Router:
             if hedge_to is not None:
                 answer = self._hedged(owner, hedge_to, name, request, deadline)
             else:
-                answer = self.transport.interest(owner, name, request, deadline)
+                answer = self._interest(owner, name, request, deadline)
             if answer is not None:
                 return answer
             if not self.transport.routable(owner):
@@ -494,7 +602,7 @@ class Router:
         """
 
         def leg(node: str) -> Optional[Answer]:
-            return self.transport.interest(node, name, request, deadline, hedged=True)
+            return self._interest(node, name, request, deadline, hedged=True)
 
         futures = {self._hedge_pool.submit(leg, primary): primary}
         hedged = False

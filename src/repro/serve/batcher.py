@@ -15,6 +15,15 @@ other executor's on a dispatch thread); per-request futures resolve to
 results or exceptions individually, so one poisoned request cannot fail
 its batch mates.
 
+Behind a dispatch thread (``hold_while_busy``), a key's timer does not
+flush while a batch of that key is queued or running: its bucket keeps
+coalescing and flushes the moment that batch completes (the size trigger
+still flushes at once).  A batch flushed earlier could only wait in the
+thread's queue, so the hold costs no latency and keeps a busy key's
+requests together instead of trickling one per timer.  On the event loop
+the executing batch holds the loop, so requests already coalesce while
+it runs.
+
 The *coalescing contract* — a request's result is byte-equal whether it
 runs solo or inside any batch — is not the batcher's to enforce; it holds
 because the engine executes coalesced rows through batch-composition-
@@ -55,6 +64,9 @@ class DynamicBatcher:
             in order.
         max_batch: Row budget per dispatch (the size trigger).
         max_delay_ms: Longest a request may wait for batch mates.
+        hold_while_busy: Hold a key's timer flush while a batch of that
+            key is queued or running; flush its bucket when that batch
+            completes.
     """
 
     def __init__(
@@ -63,6 +75,7 @@ class DynamicBatcher:
         max_batch: int = 16,
         max_delay_ms: float = 2.0,
         metrics: Optional[Metrics] = None,
+        hold_while_busy: bool = False,
     ):
         if max_batch < 1:
             raise ValueError("max_batch must be >= 1")
@@ -74,6 +87,11 @@ class DynamicBatcher:
         self.metrics = metrics if metrics is not None else METRICS
         self._buckets: Dict[Tuple, List[_Pending]] = {}
         self._timers: Dict[Tuple, asyncio.TimerHandle] = {}
+        self.hold_while_busy = bool(hold_while_busy)
+        #: Batches per key queued or running, and the keys whose timer
+        #: fired meanwhile (flushed when the key's last batch completes).
+        self._busy: Dict[Tuple, int] = {}
+        self._held: set = set()
         self._tasks: set = set()
         self.batches = 0
 
@@ -95,21 +113,32 @@ class DynamicBatcher:
             # execution: flush early rather than expire in the queue.
             remaining = request.deadline_s - time.monotonic()
             delay = max(0.0, min(delay, remaining / 2.0))
+        if key in self._held:
+            return future  # flushes when the key's running batch completes
         timer = self._timers.get(key)
         if timer is None:
-            self._timers[key] = loop.call_later(delay, self._flush, key)
+            self._timers[key] = loop.call_later(delay, self._on_timer, key)
         elif delay < max(0.0, timer.when() - loop.time()):
             timer.cancel()
-            self._timers[key] = loop.call_later(delay, self._flush, key)
+            self._timers[key] = loop.call_later(delay, self._on_timer, key)
         return future
 
+    def _on_timer(self, key: Tuple) -> None:
+        if self.hold_while_busy and self._busy.get(key):
+            self._timers.pop(key, None)
+            self._held.add(key)
+            return
+        self._flush(key)
+
     def _flush(self, key: Tuple) -> None:
+        self._held.discard(key)
         timer = self._timers.pop(key, None)
         if timer is not None:
             timer.cancel()
         bucket = self._buckets.pop(key, None)
         if not bucket:
             return
+        self._busy[key] = self._busy.get(key, 0) + 1
         self.batches += 1
         now = time.monotonic()
         rows = sum(p.request.rows for p in bucket)
@@ -125,21 +154,28 @@ class DynamicBatcher:
 
     async def _run(self, key: Tuple, bucket: List[_Pending]) -> None:
         try:
-            results = await self._dispatch(key, [p.request for p in bucket])
-            if len(results) != len(bucket):
-                raise RuntimeError(
-                    f"dispatch returned {len(results)} results for "
-                    f"{len(bucket)} requests"
-                )
-        except Exception as err:  # noqa: BLE001 — every future must resolve
-            results = [err] * len(bucket)
-        for p, result in zip(bucket, results):
-            if p.future.cancelled():
-                continue
-            if isinstance(result, Exception):
-                p.future.set_exception(result)
-            else:
-                p.future.set_result(result)
+            try:
+                results = await self._dispatch(key, [p.request for p in bucket])
+                if len(results) != len(bucket):
+                    raise RuntimeError(
+                        f"dispatch returned {len(results)} results for "
+                        f"{len(bucket)} requests"
+                    )
+            except Exception as err:  # noqa: BLE001 — every future must resolve
+                results = [err] * len(bucket)
+            for p, result in zip(bucket, results):
+                if p.future.cancelled():
+                    continue
+                if isinstance(result, Exception):
+                    p.future.set_exception(result)
+                else:
+                    p.future.set_result(result)
+        finally:
+            self._busy[key] -= 1
+            if not self._busy[key]:
+                del self._busy[key]
+                if key in self._held:
+                    self._flush(key)
 
     # ------------------------------------------------------------------
     async def drain(self) -> None:
@@ -153,5 +189,6 @@ class DynamicBatcher:
         return {
             "batches": self.batches,
             "pending_requests": sum(len(b) for b in self._buckets.values()),
+            "held_keys": len(self._held),
             "inflight_dispatches": len(self._tasks),
         }

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple
+from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -258,9 +258,10 @@ def error_response(
 def decode_array(obj) -> np.ndarray:
     """A private copy of one received array field; raises :class:`ProtocolError`.
 
-    The binary frame codec (:mod:`repro.fog.frames`) restores arrays
-    before a frame reaches any handler, so anything else where an array
-    belongs (a JSON object, a list) is a malformed frame.
+    The binary frame codec (:mod:`repro.fog.frames`) restores arrays as
+    read-only views over the frame body before a frame reaches any
+    handler; this is where a kept array gets its one copy.  Anything else
+    where an array belongs (a JSON object, a list) is a malformed frame.
     """
     if not isinstance(obj, np.ndarray):
         raise ProtocolError(f"array field must be a binary array, got {type(obj).__name__}")
@@ -323,15 +324,28 @@ def request_from_wire(obj: dict) -> Request:
     return req
 
 
-def interest_frame(req: Request, budget_ms: Optional[float] = None) -> dict:
-    """One fabric interest: a named computation plus its remaining deadline
-    budget in milliseconds.  The budget is decremented by every hop and
-    retry on the sending side — a peer that receives a spent budget must
-    answer ``deadline`` without executing, never work past it."""
-    frame = {"op": "interest", "request": request_to_wire(req)}
-    if budget_ms is not None:
-        frame["budget_ms"] = round(float(budget_ms), 3)
-    return frame
+def interest_frame(
+    requests: Sequence[Request],
+    budgets_ms: Optional[Sequence[Optional[float]]] = None,
+) -> dict:
+    """One fabric interest frame: named computations for one node, each
+    with its remaining deadline budget in milliseconds.
+
+    The node answers with one entry per item, in order.  A budget is
+    decremented by every hop and retry on the sending side — a peer that
+    receives a spent budget must answer that item ``deadline`` without
+    executing it, never work past it."""
+    if budgets_ms is None:
+        budgets_ms = [None] * len(requests)
+    if len(budgets_ms) != len(requests):
+        raise ValueError(f"{len(requests)} requests but {len(budgets_ms)} budgets")
+    items = []
+    for req, budget_ms in zip(requests, budgets_ms):
+        item = {"request": request_to_wire(req)}
+        if budget_ms is not None:
+            item["budget_ms"] = round(float(budget_ms), 3)
+        items.append(item)
+    return {"op": "interest", "items": items}
 
 
 def heartbeat_frame(seq: int) -> dict:

@@ -31,6 +31,10 @@ written; unread requests wait in the socket meanwhile.  An executor that
 mostly waits on other processes (a fog fabric, a ``workers > 1`` pool)
 or one passed in by the caller runs on a single-thread dispatch executor
 instead, which serializes engine access while the loop keeps accepting.
+Behind that thread the batcher holds a key's timer flush while a batch of
+the key is queued or running, so requests that arrive meanwhile leave as
+one batch when it completes (:class:`~repro.serve.batcher.DynamicBatcher`,
+``hold_while_busy``) rather than one timer's worth at a time.
 """
 
 from __future__ import annotations
@@ -193,6 +197,7 @@ class ReproServer:
             max_batch=self.config.max_batch,
             max_delay_ms=self.config.max_delay_ms,
             metrics=self.metrics,
+            hold_while_busy=not inline,
         )
         self._server: Optional[asyncio.AbstractServer] = None
         self._dispatch_pool = (

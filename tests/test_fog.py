@@ -174,7 +174,7 @@ class TestFogNode:
         metrics = Metrics()
         req = matmul_request([[1.0, 2.0]], [[3.0], [4.0]])
         node = FogNode("n0", capabilities={req.batch_key()}, metrics=metrics)
-        y = node.execute(req)
+        y = node.execute([(name_request(req), req)])[0]
         assert y.tobytes() == direct_posit_matmul([[1.0, 2.0]], [[3.0], [4.0]]).tobytes()
         cached = node.lookup(name_request(req))
         assert cached is not None and cached.tobytes() == y.tobytes()
@@ -184,7 +184,7 @@ class TestFogNode:
     def test_cached_result_records_kernel_provenance(self):
         req = matmul_request([[1.0, 2.0]], [[3.0], [4.0]])
         node = FogNode("n0", capabilities={req.batch_key()}, metrics=Metrics())
-        node.execute(req)
+        node.execute([(name_request(req), req)])
         kernel = node.store.kernel_digest(name_request(req).uri())
         # Execution makes the posit<8,2> codec tables resident, so the
         # entry names the exact kernel bytes it ran over.
@@ -194,12 +194,12 @@ class TestFogNode:
     def test_dead_node_serves_nothing_and_loses_cache(self):
         req = matmul_request([[1.0, 2.0]], [[3.0], [4.0]])
         node = FogNode("n0", capabilities={req.batch_key()}, metrics=Metrics())
-        node.execute(req)
+        node.execute([(name_request(req), req)])
         node.crash()
         with pytest.raises(NodeDown):
             node.lookup(name_request(req))
         with pytest.raises(NodeDown):
-            node.execute(req)
+            node.execute([(name_request(req), req)])
         node.revive()
         assert node.lookup(name_request(req)) is None, "crash wipes the store"
 

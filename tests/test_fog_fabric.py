@@ -234,7 +234,7 @@ class TestNodeServer:
         node, server = self.make()
         req = matmul_request("b0", [[1.0, 2.0]], [[3.0], [4.0]])
         node.advertise(req.batch_key())
-        resp = server.handle(interest_frame(req, budget_ms=0.0))
+        resp = server.handle(interest_frame([req], [0.0]))["answers"][0]
         assert not resp["ok"] and resp["error"] == "deadline"
         assert node.executions == 0, "a spent budget must never reach the engine"
 
@@ -242,7 +242,7 @@ class TestNodeServer:
         node, server = self.make()
         req = matmul_request("b1", [[1.0, 2.0]], [[3.0], [4.0]])
         node.advertise(req.batch_key())
-        resp = server.handle(interest_frame(req, budget_ms=1000.0))
+        resp = server.handle(interest_frame([req], [1000.0]))["answers"][0]
         assert resp["ok"] and resp["source"] == "exec"
         result = decode_array(resp["result"])
         assert resp["digest"] == array_digest(result)
@@ -252,15 +252,15 @@ class TestNodeServer:
         node, server = self.make()
         req = matmul_request("b2", [[1.0, 2.0]], [[3.0], [4.0]])
         node.advertise(req.batch_key())
-        first = server.handle(interest_frame(req, budget_ms=1000.0))
-        second = server.handle(interest_frame(req, budget_ms=1000.0))
+        first = server.handle(interest_frame([req], [1000.0]))["answers"][0]
+        second = server.handle(interest_frame([req], [1000.0]))["answers"][0]
         assert second["source"] == "cache"
         assert second["digest"] == first["digest"]
 
     def test_non_owner_cant_serve(self):
         _, server = self.make()
         req = matmul_request("b3", [[1.0, 2.0]], [[3.0], [4.0]])
-        resp = server.handle(interest_frame(req, budget_ms=1000.0))
+        resp = server.handle(interest_frame([req], [1000.0]))["answers"][0]
         assert not resp["ok"] and resp["error"] == "cant_serve"
 
     def test_carry_with_good_digest_is_accepted(self):
@@ -296,10 +296,10 @@ class TestNodeServer:
     def test_unknown_op_is_a_bad_request(self):
         _, server = self.make()
         req = matmul_request("b6", [[1.0, 2.0]], [[3.0], [4.0]])
-        interest = interest_frame(req, budget_ms=1000.0)
+        interest = interest_frame([req], [1000.0])
         # A dict where an array belongs (a base64 {dtype, shape, data}
         # object) is a malformed frame, rejected with ProtocolError's code.
-        interest["request"]["a"] = {"dtype": "float64", "shape": [1, 2], "data": ""}
+        interest["items"][0]["request"]["a"] = {"dtype": "float64", "shape": [1, 2], "data": ""}
         for frame in ({"op": "nonsense"}, interest):
             resp = server.handle(frame)
             assert not resp["ok"] and resp["error"] == "bad_request", frame
@@ -434,9 +434,9 @@ class TestPipelinedTransport:
         def fire(i):
             barrier.wait()
             results[i] = client.call(
-                interest_frame(reqs[i], budget_ms=30000.0),
+                interest_frame([reqs[i]], [30000.0]),
                 timeout_s=30.0,
-            )
+            )["answers"][0]
 
         threads = [
             threading.Thread(target=fire, args=(i,)) for i in range(len(reqs))
@@ -466,7 +466,7 @@ class TestPipelinedTransport:
         client = fabric.supervisor.client("n1")
         req = matmul_request("bin0", [[1.0, 2.0]], [[3.0], [4.0]])
         client.call({"op": "advertise", "batch_key": list(req.batch_key())})
-        resp = client.call(interest_frame(req, budget_ms=30000.0))
+        resp = client.call(interest_frame([req], [30000.0]))["answers"][0]
         assert resp["ok"]
         assert isinstance(resp["result"], np.ndarray), (
             "binary framing must restore ndarrays at the assembler, "
@@ -490,7 +490,7 @@ class TestPipelinedTransport:
             # A zero wait is decided before the send, so the timeout is
             # deterministic.
             client.call(
-                interest_frame(req, budget_ms=30000.0),
+                interest_frame([req], [30000.0]),
                 timeout_s=0.0,
             )
         resp = client.call({"op": "stats"}, timeout_s=30.0)

@@ -3,10 +3,11 @@
 :class:`~repro.fog.topology.FogTopology` (in-process nodes) and
 :class:`~repro.fog.fabric.FogFabric` (node processes behind sockets) are
 the same :class:`~repro.fog.topology.Router` over different transports.
-So one seeded request script — cold misses, repeats, and concurrent
-duplicates across two capabilities — must give the same bytes *and* the
-same routing decisions on both: equal deltas of cache hits, collapsed
-followers, executions and reverse-path carries.
+So one seeded request script — cold misses, repeats, concurrent
+duplicates, and batches that mix hits, misses and in-batch duplicates,
+across two capabilities — must give the same bytes *and* the same routing
+decisions on both: equal deltas of submissions, completions, cache hits,
+collapsed followers, executions and reverse-path carries.
 
 Concurrent duplicates are made deterministic by a transport wrapper that
 holds every interest until all followers have attached to the leader's
@@ -69,6 +70,8 @@ class HeldTransport:
 
 def counters(router):
     return {
+        "submitted": router.submitted,
+        "completed": router.completed,
         "cache_hits": router.cache_hits,
         "collapsed": router.collapsed,
         "executions": router.remote_execs,
@@ -137,6 +140,21 @@ def run_script(router, seed=41):
     for bits in BITS:  # and once more, now warm everywhere it was carried
         for j in range(4):
             submit("warm", bits, j)
+    fresh = {
+        bits: [(rng.normal(size=(2, 4)), rng.normal(size=(4, 3))) for _ in range(2)]
+        for bits in BITS
+    }
+    for bits in BITS:  # batches: hits, fresh misses and in-batch duplicates
+        operands = [pairs[bits][0], fresh[bits][0], fresh[bits][1], fresh[bits][0], pairs[bits][2]]
+        for round_ in ("cold", "warm"):
+            batch = [
+                matmul_request(f"batch-{round_}-{bits}-{j}", a, b, bits)
+                for j, (a, b) in enumerate(operands)
+            ]
+            got = router.submit_batch(batch)
+            for (a, b), result in zip(operands, got):
+                assert result.tobytes() == direct(a, b, bits).tobytes(), f"batch {round_} {bits}"
+                out.append(result.tobytes())
     after = counters(router)
     return out, {k: after[k] - before[k] for k in after}
 
@@ -154,8 +172,10 @@ def test_both_transports_route_identically():
         fab.close()
     assert fab_bytes == topo_bytes, "the transports answered different bytes"
     assert fab_deltas == topo_deltas
-    # The script exercised every path it claims to.
-    assert topo_deltas["collapsed"] == len(BITS) * (DUPLICATES - 1)
+    # The script exercised every path it claims to: one collapse per
+    # in-batch duplicate, per capability and batch round.
+    assert topo_deltas["collapsed"] == len(BITS) * (DUPLICATES - 1 + 2)
+    assert topo_deltas["submitted"] == topo_deltas["completed"] == len(topo_bytes)
     # Every name executed at least once (an owner entered cold may
     # execute a name its co-owner already holds).
     assert topo_deltas["executions"] >= len(BITS) * 4

@@ -297,7 +297,7 @@ class TestPredictFused:
         assert stats["items"] == 17
 
 
-class TestFusedSharedMemory:
+class TestFusedPickledShards:
     def test_parallel_bit_identity_and_stats(self):
         qnet = PositQuantizedNetwork(kws_cnn1(seed=5), POSIT8)
         plan = qnet.fused_plan()

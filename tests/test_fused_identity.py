@@ -74,7 +74,7 @@ def test_fused_code_boundary_matches_golden(golden, net):
     assert np.concatenate(outs, axis=0).tobytes() == golden["y"].tobytes()
 
 
-def test_fused_workers_shared_memory_matches_golden(golden, net):
+def test_fused_workers_pickled_shards_match_golden(golden, net):
     plan = FusedPlan.compile(net, POSIT8)
     with ParallelRunner(plan, workers=2, batch_size=4) as runner:
         y = runner.run(golden["x"])

@@ -23,7 +23,9 @@ from repro.nn.posit_inference import PositQuantizedNetwork
 from repro.nn.zoo import kws_cnn1
 from repro.posit import STD_POSIT8, PositFormat
 from repro.serve import EngineExecutor, ReproServer, ServeClient, ServeConfig, http_get
+from repro.serve.batcher import DynamicBatcher
 from repro.serve.executor import MULTIPLIERS
+from repro.serve.protocol import Request
 from repro.approx.simulate import approx_matmul, signed_lut
 
 # Real sockets + a real event loop per test: a wedged server must fail
@@ -336,6 +338,100 @@ class TestDispatchPlacement:
         log, replies = run(go())
         assert [r["result"] for r in replies] == [[[2.0]], [[12]]]
         assert [responded for _, responded in log] == [0, 1]
+
+
+# ----------------------------------------------------------------------
+# Behind the dispatch thread, a busy key coalesces until its batch is done
+# ----------------------------------------------------------------------
+def tiny_request(req_id):
+    return Request(id=req_id, workload="posit_matmul", tenant="t", bits=8, es=2, rows=1)
+
+
+class TestBatcherHold:
+    @staticmethod
+    async def drive(hold, max_batch=16):
+        """r1 dispatches and blocks; r2 and r3 arrive one timer apart."""
+        calls = []
+        release = asyncio.Event()
+
+        async def dispatch(key, requests):
+            calls.append([r.id for r in requests])
+            if len(calls) == 1:
+                await release.wait()
+            return [r.id for r in requests]
+
+        batcher = DynamicBatcher(
+            dispatch, max_batch=max_batch, max_delay_ms=1.0, metrics=Metrics(),
+            hold_while_busy=hold,
+        )
+        futures = [batcher.submit(tiny_request("r1"))]
+        while not calls:
+            await asyncio.sleep(0.001)
+        for req_id in ("r2", "r3"):
+            futures.append(batcher.submit(tiny_request(req_id)))
+            await asyncio.sleep(0.02)  # many timer periods
+        while_busy = [list(c) for c in calls], batcher.stats()["held_keys"]
+        release.set()
+        assert await asyncio.gather(*futures) == ["r1", "r2", "r3"]
+        await batcher.drain()
+        return while_busy, calls
+
+    def test_busy_key_holds_and_flushes_on_completion(self):
+        (busy_calls, held), calls = run(self.drive(hold=True))
+        assert busy_calls == [["r1"]] and held == 1
+        assert calls == [["r1"], ["r2", "r3"]]
+
+    def test_without_hold_each_timer_flushes(self):
+        (busy_calls, held), calls = run(self.drive(hold=False))
+        assert held == 0
+        assert calls == [["r1"], ["r2"], ["r3"]]
+
+    def test_size_trigger_flushes_a_held_key(self):
+        (busy_calls, _), calls = run(self.drive(hold=True, max_batch=2))
+        assert busy_calls == [["r1"], ["r2", "r3"]]
+        assert calls == [["r1"], ["r2", "r3"]]
+
+    def test_server_coalesces_behind_a_busy_dispatch_thread(self):
+        """An injected executor runs on the dispatch thread: requests that
+        arrive while its batch executes leave together when it is done."""
+        entered, release = threading.Event(), threading.Event()
+
+        class GatedExecutor(EngineExecutor):
+            batches = []
+
+            def execute(self, key, requests):
+                self.batches.append(len(requests))
+                if len(self.batches) == 1:
+                    entered.set()
+                    release.wait(30.0)
+                return super().execute(key, requests)
+
+        async def go():
+            metrics = Metrics()
+            config = ServeConfig(max_delay_ms=1.0, default_deadline_ms=None)
+            executor = GatedExecutor(metrics=metrics)
+            async with ReproServer(config, executor=executor, metrics=metrics) as server:
+                async with await ServeClient.connect(*server.address) as client:
+
+                    def ask():
+                        return asyncio.create_task(
+                            client.request(workload="posit_matmul", a=[[1.0]], b=[[2.0]])
+                        )
+
+                    tasks = [ask()]
+                    while not entered.is_set():
+                        await asyncio.sleep(0.001)
+                    for _ in range(3):
+                        tasks.append(ask())
+                        await asyncio.sleep(0.02)
+                    release.set()
+                    replies = await asyncio.gather(*tasks)
+            return replies, executor.batches
+
+        replies, batches = run(go())
+        assert all(r["ok"] and r["result"] == [[2.0]] for r in replies)
+        assert batches == [1, 3]
+        assert [r["batch_rows"] for r in replies] == [1, 3, 3, 3]
 
 
 # ----------------------------------------------------------------------
