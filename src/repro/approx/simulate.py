@@ -48,7 +48,6 @@ def approx_matmul(
     b: np.ndarray,
     lut: Optional[np.ndarray],
     chunk: int = 64,
-    workers: Optional[int] = None,
     fault_plan=None,
 ) -> np.ndarray:
     """``a @ b`` for int8-valued arrays through a signed behaviour table.
@@ -56,12 +55,6 @@ def approx_matmul(
     ``a`` is (M, K), ``b`` is (K, N); accumulation is exact int64 (the
     int32 accumulators of real accelerators never saturate at these sizes).
     ``lut=None`` gives the exact product (the quantized baseline).
-
-    ``workers`` > 1 shards the rows of ``a`` across a process pool
-    (:func:`repro.engine.parallel.shard_lut_matmul`); per-row integer
-    accumulation is exact, so the sharded product is bit-identical to the
-    in-process kernel.  Worth it only for large M — each call pays the
-    pool spawn cost.
 
     ``fault_plan`` (a :class:`repro.engine.faults.FaultPlan` with a
     non-zero ``lut_rate``) runs the contraction through a deterministically
@@ -74,35 +67,8 @@ def approx_matmul(
         return a @ b
     if fault_plan is not None and fault_plan.lut_rate > 0.0:
         lut = fault_plan.corrupt_table("approx.simulate", "lut", lut)
-    with TRACER.span(
-        "approx.matmul", shape=(a.shape[0], a.shape[1], b.shape[1]), workers=workers
-    ):
-        if workers is not None and workers > 1:
-            from ..engine.parallel import shard_lut_matmul
-
-            return shard_lut_matmul(lut, a + 128, b + 128, workers=workers, chunk=chunk)
+    with TRACER.span("approx.matmul", shape=(a.shape[0], a.shape[1], b.shape[1])):
         return lut_matmul(lut, a + 128, b + 128, chunk=chunk)
-
-
-def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, pad: int):
-    """(N, C, H, W) -> (N*OH*OW, C*KH*KW) patch matrix."""
-    n, c, h, w = x.shape
-    if pad:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)))
-    oh = (h + 2 * pad - kh) // stride + 1
-    ow = (w + 2 * pad - kw) // stride + 1
-    shape = (n, c, kh, kw, oh, ow)
-    strides = (
-        x.strides[0],
-        x.strides[1],
-        x.strides[2],
-        x.strides[3],
-        x.strides[2] * stride,
-        x.strides[3] * stride,
-    )
-    patches = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    cols = patches.transpose(0, 4, 5, 1, 2, 3).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols), oh, ow
 
 
 def approx_conv2d(
@@ -111,20 +77,20 @@ def approx_conv2d(
     lut: Optional[np.ndarray],
     stride: int = 1,
     pad: int = 0,
-    workers: Optional[int] = None,
     fault_plan=None,
 ) -> np.ndarray:
     """2-D convolution of int8-valued tensors through the behaviour table.
 
     ``x``: (N, C, H, W) activations; ``w``: (F, C, KH, KW) filters.
-    Returns (N, F, OH, OW) int64 accumulations.  ``workers`` shards the
-    im2col patch matrix's rows across processes (see
-    :func:`approx_matmul`) — bit-identical to the single-process result.
+    Returns (N, F, OH, OW) int64 accumulations.
     """
+    # Imported here: repro.nn imports its quantizer, which imports this module.
+    from ..nn.layers import im2col
+
     n = x.shape[0]
     f, c, kh, kw = w.shape
     with TRACER.span("approx.conv2d", shape=list(x.shape), filters=f):
-        cols, oh, ow = _im2col(x, kh, kw, stride, pad)
+        cols, oh, ow = im2col(x, kh, kw, stride, pad)
         wmat = w.reshape(f, c * kh * kw).T  # (CKK, F)
-        out = approx_matmul(cols, wmat, lut, workers=workers, fault_plan=fault_plan)
+        out = approx_matmul(cols, wmat, lut, fault_plan=fault_plan)
         return out.reshape(n, oh, ow, f).transpose(0, 3, 1, 2)

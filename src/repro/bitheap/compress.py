@@ -106,12 +106,6 @@ def _apply(heap: BitHeap, comp: Compressor, column: int) -> Placement:
     return placement
 
 
-def _feedable(heap: BitHeap, comp: Compressor, column: int) -> bool:
-    return all(
-        heap.height(column + offset) >= need for offset, need in enumerate(comp.inputs)
-    )
-
-
 def compress_greedy(
     heap: BitHeap,
     compressors: Optional[List[Compressor]] = None,

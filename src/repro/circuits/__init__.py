@@ -19,7 +19,6 @@ FPGA view of Section III).
 from .netlist import Circuit, Net, Gate, GateKind
 from .components import (
     ripple_carry_adder,
-    carry_save_row,
     array_multiplier,
     twos_complement,
     leading_zero_counter,
@@ -38,7 +37,6 @@ __all__ = [
     "Gate",
     "GateKind",
     "ripple_carry_adder",
-    "carry_save_row",
     "array_multiplier",
     "twos_complement",
     "leading_zero_counter",

@@ -17,7 +17,6 @@ from .netlist import Circuit, Net
 
 __all__ = [
     "ripple_carry_adder",
-    "carry_save_row",
     "array_multiplier",
     "twos_complement",
     "leading_zero_counter",
@@ -43,27 +42,6 @@ def ripple_carry_adder(
         s, carry = c.full_adder(ai, bi, carry)
         sums.append(s)
     return sums, carry
-
-
-def carry_save_row(
-    c: Circuit, a: Sequence[Net], b: Sequence[Net], d: Sequence[Net]
-) -> Tuple[List[Net], List[Net]]:
-    """3:2 compress three words into ``(sum_word, carry_word)``.
-
-    ``carry_word`` is already shifted: its bit ``i`` has weight ``2**(i+1)``.
-    """
-    width = max(len(a), len(b), len(d))
-    zero = c.const(0)
-
-    def get(w, i):
-        return w[i] if i < len(w) else zero
-
-    sums, carries = [], []
-    for i in range(width):
-        s, cy = c.full_adder(get(a, i), get(b, i), get(d, i))
-        sums.append(s)
-        carries.append(cy)
-    return sums, carries
 
 
 def array_multiplier(

@@ -30,8 +30,8 @@ Batched inference with observability::
     from repro.nn.posit_inference import PositQuantizedNetwork
 
     qnet = PositQuantizedNetwork(net, POSIT8)   # executes through the engine
-    runner = BatchedRunner(qnet, batch_size=32)
-    y = runner.run(x)
+    runner = BatchedRunner(qnet, batch_size=32)   # workers=N: a spawn pool
+    y = runner.run(x)                  # bit-identical at any worker count
     print(runner.stats())              # items/s, per-op counters, table hits
 """
 
@@ -55,7 +55,6 @@ from .kernels import (
     nonfinite_count,
     pairwise_lut,
     rounded_matmul,
-    shard_rows,
     stable_matmul,
 )
 from .registry import (
@@ -79,13 +78,8 @@ from .softfloat_backend import SoftFloatBackend, SoftFloatCodec, get_softfloat_c
 from .lns_backend import LNSBackend
 from .approx_backend import ApproxMultiplierBackend, get_signed_lut
 from .fused import FusedPlan
-from .runner import BatchedRunner
-from .parallel import (
-    FusedPlanSpec,
-    ModelHandle,
-    ParallelRunner,
-    shard_lut_matmul,
-)
+from .runner import BatchedRunner, ParallelRunner
+from .parallel import FusedPlanSpec, ModelHandle
 
 __all__ = [
     "Backend",
@@ -135,8 +129,6 @@ __all__ = [
     "BatchedRunner",
     "ParallelRunner",
     "ModelHandle",
-    "shard_rows",
-    "shard_lut_matmul",
     "backend_for",
 ]
 

@@ -13,11 +13,12 @@ itself as **seeded soft-error injection**:
   (``op_rate``) and DNN activations re-encoded through a format's codec
   (``activation_rate``).  It plugs into
   :class:`~repro.engine.registry.KernelRegistry`, every backend,
-  :class:`~repro.engine.runner.BatchedRunner` and
+  :class:`~repro.engine.runner.BatchedRunner` (in process or on its
+  worker pool) and
   :class:`~repro.nn.posit_inference.PositQuantizedNetwork`.
 * :class:`ChaosPlan` — deterministic worker-failure injection (crashes,
-  slowdowns) for :class:`~repro.engine.parallel.ParallelRunner` chaos
-  tests.
+  slowdowns) for chaos tests of a
+  :class:`~repro.engine.runner.BatchedRunner` worker pool.
 * :class:`FormatFaultModel` — runs a float network with activations
   round-tripped through any codec backend and bit-flipped at a configured
   rate: the harness behind the posit-vs-float resilience table

@@ -376,7 +376,8 @@ class FusedPlan:
 
     Build with :meth:`compile`; run with :meth:`forward` (drop-in for any
     ``forward(x)`` model, e.g. under a
-    :class:`~repro.engine.runner.BatchedRunner`) or split the input
+    :class:`~repro.engine.runner.BatchedRunner`, in process or recompiled
+    on each of its pool workers) or split the input
     boundary with :meth:`encode_input` / :meth:`forward_codes`, to enter
     the plan with input that is already encoded.
     """

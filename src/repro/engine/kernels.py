@@ -13,7 +13,7 @@ through the same code.
 
 from __future__ import annotations
 
-from typing import List, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -24,7 +24,6 @@ __all__ = [
     "lut_matmul",
     "rounded_matmul",
     "stable_matmul",
-    "shard_rows",
     "nonfinite_count",
 ]
 
@@ -40,31 +39,6 @@ def nonfinite_count(x: np.ndarray) -> int:
     if x.dtype.kind not in "fc":
         return 0
     return int(x.size - np.count_nonzero(np.isfinite(x)))
-
-
-def shard_rows(total: int, shards: int) -> List[Tuple[int, int]]:
-    """Deterministic partition of ``range(total)`` into contiguous spans.
-
-    The parallel execution layer shards matmul rows (and runner batches)
-    with this: spans are maximal-first balanced blocks in index order, so
-    concatenating per-span results reproduces the unsharded output
-    bit-for-bit regardless of which worker computed which span.
-    """
-    if total < 0:
-        raise ValueError("total must be >= 0")
-    if shards < 1:
-        raise ValueError("shards must be >= 1")
-    if total == 0:
-        return []
-    shards = min(shards, total)
-    base, extra = divmod(total, shards)
-    spans = []
-    start = 0
-    for i in range(shards):
-        stop = start + base + (1 if i < extra else 0)
-        spans.append((start, stop))
-        start = stop
-    return spans
 
 
 def pairwise_lut(table: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -11,9 +11,9 @@ contract so they can stay permanently wired into the hot paths:
 * :class:`Metrics` — a registry of named counters, gauges and (log-bucketed)
   histograms.  It subsumes the original flat ``OpCounters`` table: every
   ``record_op`` updates the per-op calls/elements/seconds triple *and* a
-  per-op latency histogram, and snapshots merge across
-  :class:`repro.engine.parallel.ParallelRunner` workers exactly like the
-  old op dicts did.
+  per-op latency histogram, and snapshots merge across the worker
+  processes of a :class:`repro.engine.runner.BatchedRunner` pool exactly
+  like the old op dicts did.
 
 The process-wide instances (:data:`TRACER`, :data:`METRICS`) are what the
 engine modules — :mod:`~repro.engine.kernels`, :mod:`~repro.engine.registry`,
@@ -334,7 +334,7 @@ class Metrics:
     reads through :class:`repro.engine.backend.OpCounters` *and* feeds a
     per-op latency histogram (``op.<name>.seconds``).  Snapshots are plain
     JSON-able dicts and :meth:`merge` folds a snapshot from another process
-    (a :class:`~repro.engine.parallel.ParallelRunner` worker) into this
+    (a :class:`~repro.engine.runner.BatchedRunner` pool worker) into this
     registry: counters and op triples add, gauges take the incoming value,
     histograms merge bucket-wise.
     """
@@ -522,8 +522,8 @@ def report(
 ) -> str:
     """Render runner ``stats()`` (and global metrics/trace state) as text.
 
-    ``stats`` is the dict returned by ``BatchedRunner.stats()`` /
-    ``ParallelRunner.stats()``; ``metrics`` defaults to the process-wide
+    ``stats`` is the dict returned by ``BatchedRunner.stats()`` (one
+    shape at any worker count); ``metrics`` defaults to the process-wide
     registry and ``tracer`` to the process-wide tracer.  Returns a
     multi-line string (print it).
     """

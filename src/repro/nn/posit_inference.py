@@ -151,27 +151,12 @@ class PositQuantizedNetwork:
         constructor, against this network's own backend)."""
         return self._plan
 
-    def predict(
-        self,
-        x: np.ndarray,
-        batch: int = 256,
-        workers: Optional[int] = None,
-    ) -> np.ndarray:
-        """Batched inference; ``workers`` > 1 shards batches across processes.
+    def predict(self, x: np.ndarray, batch: int = 256) -> np.ndarray:
+        """Batched in-process inference, ``batch`` samples per plan call.
 
-        The parallel path (:class:`repro.engine.parallel.ParallelRunner`)
-        recompiles the plan in each worker, which builds its own kernel
-        tables, and pickles float chunks to the workers and logits back;
-        chunk boundaries stay batch-aligned so the output is bit-identical
-        to the single-process path.  One process pool is
-        created per call — for repeated serving, keep a
-        ``BatchedRunner(..., workers=N)`` alive instead.
+        For a worker pool, run the network under a
+        ``BatchedRunner(..., workers=N)`` and keep it alive across calls.
         """
-        if workers is not None and workers > 1:
-            from ..engine.parallel import ParallelRunner
-
-            with ParallelRunner(self._plan, workers=workers, batch_size=batch) as runner:
-                return runner.run(x)
         outs = []
         for start in range(0, len(x), batch):
             outs.append(self._plan.forward(x[start : start + batch]))

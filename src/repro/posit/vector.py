@@ -45,9 +45,7 @@ __all__ = [
     "MAX_WIDE_NBITS",
     "check_decode_format",
     "check_wide_format",
-    "vector_decode_fields",
     "vector_decode",
-    "vector_encode_fields",
     "vector_encode",
     "add_codes",
     "mul_codes",
@@ -185,21 +183,6 @@ def _decode_fields_raw(fmt: PositFormat, codes: np.ndarray):
     exp += e
     exp -= f_width
     return sign, sig, exp, zero, nar, mag
-
-
-def vector_decode_fields(fmt: PositFormat, codes: np.ndarray):
-    """Exact ``(sign, sig, exp, zero_mask, nar_mask)`` fields of code arrays.
-
-    The array analogue of :func:`repro.posit.codec.decode`: each valid lane
-    satisfies ``value = (-1)**sign * sig * 2**exp`` with ``sig > 0``.
-    Zero/NaR lanes read ``(0, 0, 0)`` and are flagged in the masks.
-    """
-    sign, sig, exp, zero, nar, _ = _decode_fields_raw(fmt, codes)
-    invalid = zero | nar
-    sign[invalid] = 0
-    sig[invalid] = 0
-    exp[invalid] = 0
-    return sign, sig, exp, zero, nar
 
 
 def vector_decode(
@@ -341,29 +324,6 @@ def _encode_fields(fmt, sign, sig, exp, sticky, L):
     out += sign
     out &= word
     return out
-
-
-def vector_encode_fields(
-    fmt: PositFormat, sign, sig, exp, sticky=0
-) -> np.ndarray:
-    """Round ``(-1)**sign * sig * 2**exp`` lanes to posit patterns.
-
-    The array analogue of :func:`repro.posit.codec.encode` — nearest, ties
-    to the even encoding, clamp to minpos/maxpos, never round a nonzero
-    value to zero — restructured so no lane needs more than 63 bits:
-    instead of building the full extended body, the regime is placed at its
-    final position (``regime << avail``) and only the exponent+fraction
-    tail ``rest`` is cut, with guard/sticky taken from the cut bits.
-
-    ``sig`` must stay below ``2**(62 - es)`` (all in-repo producers do:
-    float64 significands have 53 bits, wide products <= 60, guarded sums
-    <= 62).  ``sticky`` marks lanes whose true magnitude exceeds
-    ``sig * 2**exp`` by less than one unit in the last place of ``sig``.
-    """
-    check_wide_format(fmt)
-    sig = np.asarray(sig, dtype=np.int64)
-    exp = np.asarray(exp, dtype=np.int64)
-    return _encode_fields(fmt, sign, sig, exp, sticky, _bit_length(sig))
 
 
 def vector_encode(fmt: PositFormat, x: np.ndarray) -> np.ndarray:

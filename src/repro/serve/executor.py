@@ -5,9 +5,9 @@ batcher hands it one batch key plus the requests coalesced under that key,
 and it drives the right engine entry point —
 
 * ``nn_predict`` — samples from all requests stack into one array and run
-  through a long-lived :class:`repro.engine.runner.BatchedRunner` (with
-  ``workers > 1``, a :class:`repro.engine.parallel.ParallelRunner` spawn
-  pool) over the network's compiled :class:`repro.engine.fused.FusedPlan`.
+  through a long-lived :class:`repro.engine.runner.BatchedRunner` (in
+  process, or on its spawn pool with ``workers > 1``) over the network's
+  compiled :class:`repro.engine.fused.FusedPlan`.
   The plan carries ``stable_contractions=True``, so every sample's output
   is byte-equal to solo execution regardless of batch mates or worker
   count.
@@ -20,7 +20,7 @@ and it drives the right engine entry point —
 Backends, compiled plans, runners and behaviour tables are all cached
 here — construction costs (table builds, pool spawns) are paid once per
 server lifetime, not per request.  A chaos-crashed worker pool degrades
-through the ParallelRunner ladder (retry → pool rebuild → in-process
+through the runner's ladder (retry → pool rebuild → in-process
 fallback), so accepted requests still complete; :meth:`restart` gives
 recovered pools their crash budget back.
 """
@@ -70,8 +70,8 @@ class EngineExecutor:
         nn_batch_size: Micro-batch size inside the runners.
         chaos: Optional :class:`repro.engine.faults.ChaosPlan` injected
             into every runner's pool (chaos testing the serving path).
-        task_timeout / pool_restarts: Forwarded to
-            :class:`~repro.engine.parallel.ParallelRunner`.
+        task_timeout / pool_restarts: Forwarded to every
+            :class:`~repro.engine.runner.BatchedRunner`.
     """
 
     def __init__(
@@ -126,18 +126,13 @@ class EngineExecutor:
                 plan = FusedPlan.compile(
                     net, fmt, backend=PositBackend(fmt, stable_contractions=True)
                 )
-                opts = {}
-                if self.workers is not None and self.workers > 1:
-                    opts = {
-                        "chaos": self.chaos,
-                        "task_timeout": self.task_timeout,
-                        "pool_restarts": self.pool_restarts,
-                    }
                 runner = self._runners[key] = BatchedRunner(
                     plan,
                     batch_size=self.nn_batch_size,
                     workers=self.workers,
-                    **opts,
+                    chaos=self.chaos,
+                    task_timeout=self.task_timeout,
+                    pool_restarts=self.pool_restarts,
                 )
             return runner
 

@@ -194,8 +194,8 @@ def fault_goldens() -> dict:
     row is NaN, which would pin nothing; at 0.001 seven of the sixteen
     rows stay finite, and each differs from the clean network's.  Flips
     are keyed on each activation's bytes, so ``tests/test_fault_golden.py``
-    can demand the same outputs in-process, through ``predict(workers=2)``
-    and through :class:`repro.engine.parallel.ParallelRunner`: a moved
+    can demand the same outputs in-process and through a
+    :class:`repro.engine.runner.BatchedRunner` with ``workers=2``: a moved
     fault site changes the bytes.
     """
     from repro.engine.faults import FaultPlan

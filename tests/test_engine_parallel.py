@@ -23,8 +23,7 @@ import numpy as np
 import pytest
 
 from repro.engine import BatchedRunner, ParallelRunner, KernelRegistry
-from repro.engine.kernels import lut_matmul, shard_rows
-from repro.engine.parallel import FusedPlanSpec, ModelHandle, _factory_for, shard_lut_matmul
+from repro.engine.parallel import FusedPlanSpec, ModelHandle, _factory_for
 from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1
 from repro.posit import POSIT8
@@ -93,24 +92,6 @@ class StallInWorker(TinyModel):
 # ----------------------------------------------------------------------
 # Deterministic sharding primitives
 # ----------------------------------------------------------------------
-class TestShardRows:
-    def test_partition_covers_exactly(self):
-        for total in (1, 2, 7, 64, 100):
-            for shards in (1, 2, 3, 8, 200):
-                spans = shard_rows(total, shards)
-                assert spans[0][0] == 0 and spans[-1][1] == total
-                for (a, b), (c, d) in zip(spans, spans[1:]):
-                    assert b == c and a < b
-                assert len(spans) == min(shards, total)
-
-    def test_empty_and_invalid(self):
-        assert shard_rows(0, 4) == []
-        with pytest.raises(ValueError):
-            shard_rows(-1, 2)
-        with pytest.raises(ValueError):
-            shard_rows(4, 0)
-
-
 class TestSpans:
     def test_spans_are_batch_aligned(self):
         runner = ParallelRunner(TinyModel(), workers=3, batch_size=4)
@@ -121,19 +102,17 @@ class TestSpans:
                 assert start % 4 == 0 and stop % 4 == 0
         runner.close()
 
-    def test_chunk_size_rounds_up_to_batch(self):
-        runner = ParallelRunner(TinyModel(), workers=2, batch_size=4, chunk_size=5)
-        spans = runner._spans(32)
-        # chunk_size=5 rounds up to 8 (two batches per chunk)
-        assert spans == [(0, 8), (8, 16), (16, 24), (24, 32)]
+    def test_spans_are_one_per_worker(self):
+        runner = ParallelRunner(TinyModel(), workers=2, batch_size=4)
+        assert runner._spans(32) == [(0, 16), (16, 32)]
+        # 3 batches over 2 workers: 2 batches, then the ragged rest
+        assert runner._spans(10) == [(0, 8), (8, 10)]
         runner.close()
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
             ParallelRunner(TinyModel(), batch_size=0)
-        with pytest.raises(ValueError):
-            ParallelRunner(TinyModel(), chunk_size=0)
-        with pytest.raises(ValueError):
+        with pytest.raises(TypeError):
             ParallelRunner()
 
 
@@ -200,6 +179,27 @@ class TestBitIdentity:
         assert runner.stats()["per_worker"] == []
         runner.close()
 
+    @pytest.mark.parametrize("workers", [None, 1])
+    def test_in_process_run_is_not_a_fallback(self, workers):
+        """A runner meant to run in process goes straight to the loop: no
+        fallback, no fallback cause, no ``parallel.fallbacks.*`` counter."""
+        runner = ParallelRunner(TinyModel(), workers=workers, batch_size=2)
+        runner.run(np.ones((9, 6)))
+        stats = runner.stats()
+        assert stats["fallbacks"] == 0 and stats["fallback_causes"] == {}
+        assert not [k for k in stats["metrics"]["counters"] if k.startswith("parallel.")]
+        assert stats["workers"] == 1 and stats["batches"] == 5
+        assert stats["metrics"]["histograms"]["runner.batch_s"]["count"] == 5
+
+    def test_stats_have_one_shape(self):
+        x = np.ones((8, 6))
+        with ParallelRunner(TinyModel(), workers=2, batch_size=4) as pooled:
+            pooled.run(x)
+            pooled_keys = set(pooled.stats())
+        local = BatchedRunner(TinyModel(), batch_size=4)
+        local.run(x)
+        assert set(local.stats()) == pooled_keys
+
     def test_empty_input(self):
         with ParallelRunner(TinyModel(), workers=2, batch_size=4) as runner:
             out = runner.run(np.empty((0, 6)))
@@ -216,9 +216,24 @@ class TestBitIdentity:
         assert np.array_equal(plain.run(x), y)
         assert stats["workers"] == 2 and "per_worker" in stats
 
-    def test_batched_runner_rejects_orphan_parallel_opts(self):
-        with pytest.raises(TypeError):
-            BatchedRunner(TinyModel(), batch_size=4, chunk_size=8)
+    def test_batched_runner_accepts_pool_opts_in_process(self):
+        """Pool options are accepted at any worker count; in process they
+        change nothing (chaos only ever acts inside a worker)."""
+        from repro.engine import ChaosPlan
+
+        x = np.random.default_rng(8).normal(size=(10, 6))
+        runner = BatchedRunner(
+            TinyModel(),
+            batch_size=4,
+            task_timeout=1.0,
+            task_retries=0,
+            pool_restarts=0,
+            fallback=False,
+            chaos=ChaosPlan(crash_rate=1.0),
+        )
+        assert np.array_equal(runner.run(x), BatchedRunner(TinyModel(), batch_size=4).run(x))
+        assert runner.stats()["fallbacks"] == 0
+        assert multiprocessing.active_children() == []
 
 
 # ----------------------------------------------------------------------
@@ -294,43 +309,6 @@ class TestWorkerTables:
         assert y.tobytes() == want.tobytes()
         assert stats["table_misses"] > reg.stats()["misses"], "no worker builds counted"
         assert list(tmp.iterdir()) == []
-
-
-# ----------------------------------------------------------------------
-# Sharded LUT matmul
-# ----------------------------------------------------------------------
-class TestShardedLutMatmul:
-    def test_bit_identical_to_in_process_kernel(self):
-        n = 16
-        idx = np.arange(n)
-        lut = np.multiply.outer(idx, idx).astype(np.int64)
-        rng = np.random.default_rng(17)
-        a = rng.integers(0, n, size=(11, 9))
-        b = rng.integers(0, n, size=(9, 5))
-        want = lut_matmul(lut, a, b)
-        got = shard_lut_matmul(lut, a, b, workers=2, chunk=3)
-        assert np.array_equal(want, got)
-        assert np.array_equal(want, a @ b)
-
-    def test_single_worker_short_circuits(self):
-        lut = np.arange(16).reshape(4, 4).astype(np.int64)
-        a = np.ones((3, 2), dtype=np.int64)
-        b = np.ones((2, 2), dtype=np.int64)
-        assert np.array_equal(
-            shard_lut_matmul(lut, a, b, workers=1), lut_matmul(lut, a, b)
-        )
-
-    def test_approx_matmul_workers_knob(self):
-        from repro.approx import TruncatedMultiplier
-        from repro.approx.simulate import approx_matmul, signed_lut
-
-        lut = signed_lut(TruncatedMultiplier(cut=4))
-        rng = np.random.default_rng(18)
-        a = rng.integers(-127, 128, size=(10, 7))
-        b = rng.integers(-127, 128, size=(7, 4))
-        assert np.array_equal(
-            approx_matmul(a, b, lut), approx_matmul(a, b, lut, workers=2)
-        )
 
 
 # ----------------------------------------------------------------------

@@ -195,7 +195,7 @@ class TestFaultPlanErrors:
             ChaosPlan(crash_rate=0.7, slow_rate=0.7)  # sum > 1
 
     def test_runner_retry_budgets_validated(self):
-        from repro.engine.parallel import ParallelRunner
+        from repro.engine import ParallelRunner
 
         with pytest.raises(ValueError):
             ParallelRunner(model=object(), workers=1, task_retries=-1)

@@ -6,14 +6,14 @@ poison report of kws1 at posit<8,2> under a seeded ``FaultPlan`` with
 time (see ``tests/golden/generate.py``).  Every flip is keyed on the bytes
 of the activation it corrupts, so a fault site that moved — before or
 after a different op, or onto a different micro-batch — changes these
-bytes.  The network must reproduce them in-process, sharded through
-``predict(workers=2)``, and through a :class:`ParallelRunner`.
+bytes.  The network must reproduce them in-process and sharded through a
+runner with ``workers=2``.
 
 ``tests/golden/runner_fault.npz`` pins the runner's own fault site: float
 words flipped in each micro-batch at ``"runner.batch"`` before a generic
 ``forward(x)`` model or the kws1 posit<8,2> plan sees it.  The in-process
-:class:`BatchedRunner` produced it; both worker-pool runners must
-reproduce it without falling back.
+:class:`BatchedRunner` produced it; the same runner on a worker pool,
+under either of its names, must reproduce it without falling back.
 """
 
 import multiprocessing
@@ -65,12 +65,6 @@ def test_in_process_outputs_and_poison_report(golden):
     assert [e["name"] for e in report] == golden["poison_name"].tolist()
     assert [e["nonfinite"] for e in report] == golden["poison_nonfinite"].tolist()
     assert [e["elements"] for e in report] == golden["poison_elements"].tolist()
-
-
-def test_predict_workers(golden):
-    y = _qnet().predict(golden["x"], batch=FAULT_BATCH, workers=2)
-    assert y.tobytes() == golden["y"].tobytes()
-    assert multiprocessing.active_children() == []
 
 
 def test_parallel_runner(golden):

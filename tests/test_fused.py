@@ -284,7 +284,9 @@ class TestPredictFused:
         qnet = PositQuantizedNetwork(kws_cnn1(seed=5), POSIT8)
         x = np.random.default_rng(2).normal(size=(30, 1, 31, 20))
         ref = np.concatenate([reference_forward(qnet.net, qnet.engine, x[s : s + 8]) for s in range(0, 30, 8)])
-        got = qnet.predict(x, batch=8, workers=2)
+        with BatchedRunner(qnet, batch_size=8, workers=2) as runner:
+            got = runner.run(x)
+            assert runner.stats()["fallbacks"] == 0
         assert np.array_equal(got, ref)
         assert multiprocessing.active_children() == []
 

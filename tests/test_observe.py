@@ -341,7 +341,6 @@ class TestParallelObservability:
             model,
             workers=2,
             batch_size=32,
-            chunk_size=32,
             task_timeout=120.0,
         ) as runner:
             runner.run(x)
