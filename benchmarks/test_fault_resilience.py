@@ -1,9 +1,12 @@
 """Fault resilience: DNN accuracy vs activation bit-flip rate per format.
 
 The Table-II-style robustness comparison the fault layer exists for: a
-trained float classifier runs with its activations round-tripped through
-each format's codec while :class:`repro.engine.faults.FaultPlan` flips one
-random bit per hit code (``activation_rate`` per element, seeded and
+trained float classifier is compiled into one
+:class:`repro.engine.fused.FusedPlan` per format — the executor that
+serves posit networks, with weights and layer inputs quantized onto the
+format's grid — and the plan's fault stages let
+:class:`repro.engine.faults.FaultPlan` flip one random bit per hit
+activation code (``activation_rate`` per element, seeded and
 deterministic).  Sweeping the rate for posit8, FP8 (E4M3) and binary16
 measures how much classification accuracy each number format loses to the
 same soft-error pressure — narrow formats concentrate meaning in fewer
@@ -22,7 +25,7 @@ import numpy as np
 import pytest
 
 from repro.datasets import synthetic_images
-from repro.engine import FaultPlan, FormatFaultModel, PositBackend, SoftFloatBackend
+from repro.engine import FaultPlan, FusedPlan, PositBackend, SoftFloatBackend
 from repro.floats import BINARY16, FP8_E4M3
 from repro.nn.train import evaluate_accuracy, train
 from repro.nn.zoo import resnet_mini
@@ -45,6 +48,11 @@ def _backends():
     }
 
 
+def _plan(net, backend, rate):
+    plan = FaultPlan(seed=SEED, activation_rate=rate)
+    return FusedPlan.compile(net, backend.fmt, backend=backend, fault_plan=plan)
+
+
 @pytest.fixture(scope="module")
 def measurement():
     x, y = synthetic_images(2 * N_PER_CLASS, classes=10, size=16, seed=SEED)
@@ -62,9 +70,7 @@ def measurement():
     for name, backend in _backends().items():
         accs = {}
         for rate in FLIP_RATES:
-            plan = FaultPlan(seed=SEED, activation_rate=rate)
-            model = FormatFaultModel(net, backend, plan)
-            accs[str(rate)] = evaluate_accuracy(model.forward, xte, yte)
+            accs[str(rate)] = evaluate_accuracy(_plan(net, backend, rate).forward, xte, yte)
         formats[name] = accs
 
     return {
@@ -109,7 +115,6 @@ def test_fault_injection_is_deterministic(measurement):
     backend = _backends()["posit8"]
     x, y = synthetic_images(2, classes=10, size=16, seed=SEED + 1)
     net = resnet_mini(seed=SEED)
-    plan = FaultPlan(seed=SEED, activation_rate=0.01)
-    y1 = FormatFaultModel(net, backend, plan).forward(x)
-    y2 = FormatFaultModel(net, backend, plan).forward(x)
+    y1 = _plan(net, backend, 0.01).forward(x)
+    y2 = _plan(net, backend, 0.01).forward(x)
     assert np.array_equal(y1, y2, equal_nan=True)

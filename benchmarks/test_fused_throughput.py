@@ -43,7 +43,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine import BatchedRunner, ParallelRunner
+from repro.engine import BatchedRunner
 from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1
 from repro.posit import POSIT8, STD_POSIT8
@@ -119,7 +119,7 @@ def measurement():
     unfused_wall, fused_wall, single_speedup = _paired(unfused.run, fused.run, x)
 
     # Fused, multi-worker: each worker runs the plan on its chunk.
-    with ParallelRunner(plan, workers=WORKERS, batch_size=BATCH) as runner:
+    with BatchedRunner(plan, workers=WORKERS, batch_size=BATCH) as runner:
         runner.run(x[:BATCH])  # pool spawn + worker compile warmup
         y_par = runner.run(x)
         assert np.array_equal(y_par, y_ref), "fused parallel diverged"

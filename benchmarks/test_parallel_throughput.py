@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine import BatchedRunner, ParallelRunner
+from repro.engine import BatchedRunner
 from repro.nn.posit_inference import PositQuantizedNetwork
 from repro.nn.zoo import kws_cnn1
 from repro.posit import POSIT8
@@ -56,7 +56,7 @@ def measurement():
     # would see, then time a fresh run.  A spawn pool starts a worker only
     # when a task finds none idle, so the warm-up runs one chunk per worker
     # until every worker has answered: none may start inside the timed run.
-    with ParallelRunner(qnet, workers=WORKERS, batch_size=BATCH) as runner:
+    with BatchedRunner(qnet, workers=WORKERS, batch_size=BATCH) as runner:
         for _ in range(20):
             runner.run(x[: BATCH * WORKERS])
             if len(runner.stats()["per_worker"]) == WORKERS:

@@ -7,10 +7,13 @@ never stored), and all tensor arithmetic then runs as bulk integer
 indexing and float64 re-encoding — the ApproxTrain/ProxSim architecture,
 generalized over posits, IEEE-style softfloats, LNS and approximate
 multipliers behind one :class:`Backend <repro.engine.backend.Backend>`
-protocol.  Wider
-formats (posit<32,2>, binary32) skip the tables entirely: the ``wide``
-strategy of :mod:`repro.engine.wide` decodes and encodes by bit-parallel
-field extraction on whole code arrays.
+protocol.  The posit, softfloat and LNS backends share one base,
+:class:`CodecBackend <repro.engine.backend.CodecBackend>`, so a
+:class:`FusedPlan <repro.engine.fused.FusedPlan>` compiles a network in
+any of their formats.  Wider formats (posit<32,2>, binary32) skip the
+tables entirely: the ``wide`` strategy of :mod:`repro.engine.wide`
+decodes and encodes by bit-parallel field extraction on whole code
+arrays.
 
 Quickstart::
 
@@ -48,8 +51,8 @@ from .observe import (
     load_jsonl,
     report,
 )
-from .backend import Backend, OpCounters
-from .faults import ChaosPlan, FaultPlan, FormatFaultModel, apply_code_faults
+from .backend import Backend, CodecBackend, CodecKernels, OpCounters
+from .faults import ChaosPlan, FaultPlan, apply_code_faults
 from .kernels import (
     lut_matmul,
     nonfinite_count,
@@ -73,16 +76,17 @@ from .wide import (
     get_wide_float_codec,
     get_wide_posit_codec,
 )
-from .posit_backend import CodecKernels, PositBackend
+from .posit_backend import PositBackend
 from .softfloat_backend import SoftFloatBackend, SoftFloatCodec, get_softfloat_codec
 from .lns_backend import LNSBackend
 from .approx_backend import ApproxMultiplierBackend, get_signed_lut
 from .fused import FusedPlan
-from .runner import BatchedRunner, ParallelRunner
+from .runner import BatchedRunner
 from .parallel import FusedPlanSpec, ModelHandle
 
 __all__ = [
     "Backend",
+    "CodecBackend",
     "OpCounters",
     "Tracer",
     "Metrics",
@@ -116,7 +120,6 @@ __all__ = [
     "nonfinite_count",
     "FaultPlan",
     "ChaosPlan",
-    "FormatFaultModel",
     "apply_code_faults",
     "PositBackend",
     "CodecKernels",
@@ -127,7 +130,6 @@ __all__ = [
     "FusedPlan",
     "FusedPlanSpec",
     "BatchedRunner",
-    "ParallelRunner",
     "ModelHandle",
     "backend_for",
 ]

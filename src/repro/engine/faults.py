@@ -14,15 +14,13 @@ itself as **seeded soft-error injection**:
   (``activation_rate``).  It plugs into
   :class:`~repro.engine.registry.KernelRegistry`, every backend,
   :class:`~repro.engine.runner.BatchedRunner` (in process or on its
-  worker pool) and
-  :class:`~repro.nn.posit_inference.PositQuantizedNetwork`.
+  worker pool) and :class:`~repro.engine.fused.FusedPlan`, whose fault
+  stages flip activation codes of any posit, softfloat or LNS format —
+  the plans behind the posit-vs-float resilience table
+  (``benchmarks/test_fault_resilience.py``).
 * :class:`ChaosPlan` — deterministic worker-failure injection (crashes,
   slowdowns) for chaos tests of a
   :class:`~repro.engine.runner.BatchedRunner` worker pool.
-* :class:`FormatFaultModel` — runs a float network with activations
-  round-tripped through any codec backend and bit-flipped at a configured
-  rate: the harness behind the posit-vs-float resilience table
-  (``benchmarks/test_fault_resilience.py``).
 
 Determinism is the load-bearing property: every injection site derives its
 RNG from ``(plan.seed, site name, a content hash of the array being
@@ -45,7 +43,7 @@ import numpy as np
 
 from .observe import METRICS, TRACER
 
-__all__ = ["FaultPlan", "ChaosPlan", "FormatFaultModel", "apply_code_faults"]
+__all__ = ["FaultPlan", "ChaosPlan", "apply_code_faults"]
 
 
 def _content_key(arr: np.ndarray) -> int:
@@ -338,48 +336,3 @@ class ChaosPlan:
             f"ChaosPlan(seed={self.seed}, crash_rate={self.crash_rate}, "
             f"slow_rate={self.slow_rate}, slow_s={self.slow_s})"
         )
-
-
-# ----------------------------------------------------------------------
-# Per-format DNN resilience harness
-# ----------------------------------------------------------------------
-class FormatFaultModel:
-    """A float network with activations quantized through ``backend`` and
-    bit-flipped per ``plan`` — the per-format soft-error resilience model.
-
-    After every layer, activations are encoded into the backend's code
-    space, each code flips one random bit with probability
-    ``plan.activation_rate``, and the codes decode back to values.  With
-    ``plan=None`` (or rate 0) this is plain activation quantization — the
-    fault-free baseline the resilience table compares against.
-
-    Works with any codec-style backend (posit, softfloat, LNS): the
-    measured accuracy difference across formats at equal flip rates is
-    the Table-II-style resilience comparison
-    (``benchmarks/test_fault_resilience.py``).
-    """
-
-    def __init__(self, net, backend, plan: Optional[FaultPlan] = None):
-        self.net = net
-        self.backend = backend
-        self.plan = plan
-        self.code_bits = getattr(backend, "code_bits", None)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        backend = self.backend
-        for i, layer in enumerate(self.net.layers):
-            x = layer.forward(x)
-            codes = backend.encode(x)
-            if self.plan is not None and self.plan.activation_rate > 0.0:
-                width = self.code_bits if self.code_bits is not None else codes.dtype.itemsize * 8
-                codes = self.plan.flip_bits(
-                    codes, width, self.plan.activation_rate, f"format-fault.{i}"
-                )
-            x = backend.decode(codes)
-        return x
-
-    __call__ = forward
-
-    def __repr__(self):
-        rate = self.plan.activation_rate if self.plan is not None else 0.0
-        return f"FormatFaultModel({self.backend.name}, activation_rate={rate})"

@@ -1,10 +1,13 @@
 """Fused code-space inference: plan a whole network once, then execute it
 without re-deriving any per-layer decisions.
 
-:class:`FusedPlan` is the one executor of a posit network.  Its semantics
-are :func:`~repro.nn.posit_inference.reference_forward`, which rounds
-every quantized layer's input onto the posit grid — a correctly rounded
-*encode* (boundary binary search), then a *decode* back to grid values.
+:class:`FusedPlan` is the one executor of a quantized network in any
+tabulated format — posit, softfloat (FP8, binary16, bfloat16, binary32)
+or LNS, through any :class:`~repro.engine.backend.CodecBackend`.  Its
+semantics are :func:`~repro.nn.posit_inference.reference_forward`, which
+rounds every quantized layer's input and weights onto the format's grid —
+a correctly rounded *encode* (for posits a boundary binary search), then
+a *decode* back to grid values.
 Run layer by layer, that encode dominates the wall clock (>50% on the
 8-bit KWS models).  The plan removes it from the hot loop, PAPER §II's
 FloPoCo paradigm applied in software — generate exactly the datapath the
@@ -17,18 +20,20 @@ computation needs instead of round-tripping through generic machinery:
   passthrough stages for the unquantized interludes (ReLU, pooling,
   flatten).  Weights are pre-encoded once at compile time.
 * **Operator specialization.**  Each stage's codec kernels come from
-  :meth:`repro.engine.posit_backend.PositBackend.codec_kernels` — a
-  direct float64-bits encode LUT plus value-table gather below the table
-  ceiling, the bit-parallel wide kernels of :mod:`repro.posit.vector`
-  above it — every one byte-equal to the default codec.
+  the backend's :meth:`~repro.engine.backend.CodecBackend.codec_kernels`
+  — a value-table gather decode for every tabulated format, and for
+  posits a direct float64-bits encode LUT below the table ceiling and the
+  bit-parallel wide kernels of :mod:`repro.posit.vector` above it —
+  every one byte-equal to the default codec.
 * **Code space across quantization boundaries.**  Between one quantized
   layer's interludes and the next quantized layer, activations travel as
-  posit *codes* (one fast encode at the boundary, one table gather at the
+  *codes* (one fast encode at the boundary, one table gather at the
   consumer) — 1/8th the bytes of float64 for 8-bit formats.
 * **Exact contractions on BLAS** (:mod:`repro.engine.exact`).  Products of
-  <= 16-bit posits are exact in float64.  If each operand's values are
-  multiples of ``2**min_lsb`` below ``2**max_mag``, every partial sum of a
-  ``K``-term contraction is a multiple of ``2**(min_lsb_a + min_lsb_b)``
+  <= 16-bit posits (and of FP8/binary16 values) are exact in float64.
+  If each operand's values are multiples of ``2**min_lsb`` below
+  ``2**max_mag``, every partial sum of a ``K``-term contraction is a
+  multiple of ``2**(min_lsb_a + min_lsb_b)``
   below ``2**(max_mag_a + max_mag_b + ceil(log2 K))``; when that span is
   at most 53 bits every partial sum is exact, so *every* summation order
   — any BLAS blocking, FMA, row count — yields the same bytes as the
@@ -40,9 +45,10 @@ computation needs instead of round-tripping through generic machinery:
   the column layout is too; the output keeps the reference's NHWC
   layout, because downstream reductions (``GlobalAvgPool``'s mean) sum
   in memory order.  When it fails (wide spans, NaR codes, the
-  table-free 17..32-bit formats) the stage runs the im2col +
-  :meth:`~PositBackend.matmul_values` path unchanged and the fallback is
-  counted in ``engine.exact.fallbacks``.
+  table-free 17..32-bit formats, LNS's non-dyadic values) the stage runs
+  the im2col + :meth:`~repro.engine.backend.CodecBackend.matmul_values`
+  path unchanged and the fallback is counted in
+  ``engine.exact.fallbacks``.
 * **Fault and poison sites are stages.**  ``compile(...,
   fault_plan=..., poison_audit=True)`` puts an activation-fault stage
   (:meth:`~repro.engine.faults.FaultPlan.corrupt_activations` at site
@@ -73,12 +79,10 @@ from typing import Dict, List, Optional
 
 import numpy as np
 
-from .backend import timed_op
+from .backend import CodecBackend, CodecKernels, timed_op
 from .exact import blas
 from .kernels import nonfinite_count
 from .observe import METRICS, TRACER
-from .posit_backend import CodecKernels, PositBackend
-from .registry import REGISTRY
 
 __all__ = ["FusedPlan", "FusedStage"]
 
@@ -108,7 +112,7 @@ class _Scratch:
         return buf
 
 
-def _conv_apply(backend: PositBackend, conv, qw: np.ndarray, qx: np.ndarray) -> np.ndarray:
+def _conv_apply(backend: CodecBackend, conv, qw: np.ndarray, qx: np.ndarray) -> np.ndarray:
     """One convolution over already-quantized grid values.
 
     Same operation sequence as :func:`~repro.nn.posit_inference.
@@ -127,7 +131,7 @@ class FusedStage:
     """One compiled op of a :class:`FusedPlan`.
 
     ``entry`` names the representation the stage consumes: ``"codes"``
-    (posit code array — the stage's first act is a table-gather decode) or
+    (code array — the stage's first act is a table-gather decode) or
     ``"float"`` (unquantized float64).  Compile inserts an encode stage
     wherever a float producer feeds a codes consumer, which is exactly
     where the reference's quantize runs.
@@ -148,7 +152,7 @@ class _EncodeStage(FusedStage):
     kind = "encode"
     entry = "float"
 
-    def __init__(self, backend: PositBackend, kernels: CodecKernels):
+    def __init__(self, backend: CodecBackend, kernels: CodecKernels):
         self.backend = backend
         self.kernels = kernels
         self.name = f"encode[{kernels.encode_kind}]"
@@ -172,7 +176,7 @@ class _Conv:
     :func:`_conv_apply` runs on the decoded input unchanged.
     """
 
-    def __init__(self, conv, backend: PositBackend, kernels: CodecKernels, scratch, slot: str):
+    def __init__(self, conv, backend: CodecBackend, kernels: CodecKernels, scratch, slot: str):
         self.conv = conv
         self.backend = backend
         self.kernels = kernels
@@ -221,7 +225,7 @@ class _ConvStage(FusedStage):
     kind = "conv"
     entry = "codes"
 
-    def __init__(self, conv, backend: PositBackend, kernels: CodecKernels):
+    def __init__(self, conv, backend: CodecBackend, kernels: CodecKernels):
         self.backend = backend
         self.kernels = kernels
         self.scratch = _Scratch()
@@ -244,7 +248,7 @@ class _DenseStage(FusedStage):
     kind = "dense"
     entry = "codes"
 
-    def __init__(self, dense, backend: PositBackend, kernels: CodecKernels):
+    def __init__(self, dense, backend: CodecBackend, kernels: CodecKernels):
         self.dense = dense
         self.backend = backend
         self.kernels = kernels
@@ -280,7 +284,7 @@ class _ResidualStage(FusedStage):
     kind = "residual"
     entry = "float"
 
-    def __init__(self, block, backend: PositBackend, kernels: CodecKernels):
+    def __init__(self, block, backend: CodecBackend, kernels: CodecKernels):
         self.block = block
         self.backend = backend
         self.kernels = kernels
@@ -328,7 +332,7 @@ class _FaultStage(FusedStage):
     kind = "fault"
     entry = "float"
 
-    def __init__(self, fault_plan, backend: PositBackend, site: str):
+    def __init__(self, fault_plan, backend: CodecBackend, site: str):
         self.fault_plan = fault_plan
         self.backend = backend
         self.name = site
@@ -372,7 +376,8 @@ class _PoisonStage(FusedStage):
 
 
 class FusedPlan:
-    """A compiled, code-space execution plan for one network + format.
+    """A compiled, code-space execution plan for one network + format
+    (posit, softfloat or LNS).
 
     Build with :meth:`compile`; run with :meth:`forward` (drop-in for any
     ``forward(x)`` model, e.g. under a
@@ -382,7 +387,7 @@ class FusedPlan:
     the plan with input that is already encoded.
     """
 
-    def __init__(self, net, fmt, backend: PositBackend, kernels: CodecKernels, stages, fault_plan, poison):
+    def __init__(self, net, fmt, backend: CodecBackend, kernels: CodecKernels, stages, fault_plan, poison):
         self.net = net
         self.fmt = fmt
         #: The backend whose counters/codec/contraction mode this plan uses
@@ -410,15 +415,17 @@ class FusedPlan:
         net,
         fmt,
         *,
-        backend: Optional[PositBackend] = None,
+        backend: Optional[CodecBackend] = None,
         fault_plan=None,
         poison_audit: bool = False,
     ) -> "FusedPlan":
         """Plan ``net`` (a float :class:`~repro.nn.network.Sequential`) once.
 
-        ``backend`` may be a preconstructed :class:`PositBackend` (its
-        counters, registry and stable-contraction flag are the plan's); by
-        default one is built over the process-wide registry.
+        ``backend`` may be a preconstructed
+        :class:`~repro.engine.backend.CodecBackend` for ``fmt`` — posit,
+        softfloat or LNS (its counters, registry and stable-contraction
+        flag are the plan's); by default ``backend_for(fmt)`` builds one
+        over the process-wide registry.
         ``fault_plan`` (its ``activation_rate``) and ``poison_audit`` add a
         fault and an audit stage after every layer.  Raises
         :class:`ValueError` when the backend or its registry carries a
@@ -427,9 +434,10 @@ class FusedPlan:
         from ..nn.layers import Conv2D, Dense, ResidualBlock
 
         if backend is None:
-            backend = PositBackend(fmt)
-        reg = backend.registry if backend.registry is not None else REGISTRY
-        if any(p is not None and p.lut_rate > 0.0 for p in (backend.fault_plan, reg.fault_plan)):
+            from . import backend_for
+
+            backend = backend_for(fmt)
+        if any(p is not None and p.lut_rate > 0.0 for p in (backend.fault_plan, backend.registry.fault_plan)):
             raise ValueError(
                 "cannot compile a fused plan against kernel-table faults "
                 "(lut_rate > 0): the specialized codec kernels would not "

@@ -11,6 +11,14 @@ of the scalar ``phi+``/``phi-`` formula (same float64 ``log2``, same
 halfway rounding), tabulated over every code pair for narrow formats
 (<= 10 code bits) and run directly on wider ones.  The scalar
 :class:`repro.lns.LNS` model is the test oracle of both.
+
+Everything else — the timed codec, ``matmul`` (exact log-domain products
+decoded to float64, linear-domain accumulation, one re-encode: the
+log-CNN accelerator model), value-table decode and the fused path's codec
+kernels — is :class:`repro.engine.backend.CodecBackend`'s.  LNS values
+are not dyadic, so the exact-contraction span check fails on any
+non-power-of-two operand and contractions keep the fixed order whenever
+stability is asked for.
 """
 
 from __future__ import annotations
@@ -22,16 +30,16 @@ import numpy as np
 from ..lns.format import LNSFormat
 from ..lns.value import LNS
 from ..posit.tensor import TABLE_BUILD_CHUNK
-from .backend import OpCounters, timed_op
-from .faults import apply_code_faults
-from .kernels import pairwise_lut
-from .registry import REGISTRY, KernelRegistry
+from .backend import CodecBackend, OpCounters, timed_op
+from .registry import KernelRegistry
 
 __all__ = ["LNSBackend"]
 
 
-class LNSBackend:
+class LNSBackend(CodecBackend):
     """Vectorized LNS arithmetic on packed sign+exponent codes."""
+
+    ENCODE_KIND = "log2"
 
     def __init__(
         self,
@@ -43,34 +51,22 @@ class LNSBackend:
     ):
         if fmt.width > 16:
             raise ValueError("LNSBackend supports at most 16 code bits")
-        self.fmt = fmt
+        strategy = "pairwise" if fmt.width <= table_bits else "via-phi"
+        super().__init__(fmt, fmt.width, strategy, counters, registry, fault_plan)
         self.name = f"lns<{fmt.int_bits}.{fmt.frac_bits}>"
         self.key = ("lns", fmt.int_bits, fmt.frac_bits)
-        self.counters = counters if counters is not None else OpCounters()
-        self._registry = registry if registry is not None else REGISTRY
         self._e_bits = fmt.e_bits
         self._e_mask = (1 << fmt.e_bits) - 1
-        self._code_dtype = np.uint8 if fmt.width <= 8 else np.uint16
-        if fmt.width <= table_bits:
-            tables = self._registry.get(
+        if strategy == "pairwise":
+            tables = self.registry.get(
                 ("lns", fmt.int_bits, fmt.frac_bits, "tables"), self._build_tables
             )
             self.values, self.add_table = tables["values"], tables["add"]
-            self.strategy = "pairwise"
         else:
-            self.values = self._registry.get(
+            self.values = self.registry.get(
                 ("lns", fmt.int_bits, fmt.frac_bits, "values"),
                 lambda: {"values": self._build_values()},
             )["values"]
-            self.add_table = None
-            self.strategy = "via-phi"
-        #: Width of one code word — the bit-flip domain for fault injection.
-        self.code_bits = fmt.width
-        #: Optional :class:`repro.engine.faults.FaultPlan` corrupting op outputs.
-        self.fault_plan = fault_plan
-
-    def _fault(self, op: str, codes: np.ndarray) -> np.ndarray:
-        return apply_code_faults(self.fault_plan, self.name, op, codes, self.code_bits)
 
     def _build_tables(self) -> dict:
         """Value table plus every pairwise sum through :meth:`_add_via_phi`.
@@ -111,55 +107,36 @@ class LNSBackend:
         return code.astype(self._code_dtype)
 
     # ------------------------------------------------------------------
-    # Codec
+    # Codec and arithmetic kernels
     # ------------------------------------------------------------------
-    def encode(self, x: np.ndarray) -> np.ndarray:
+    def _encode(self, x: np.ndarray) -> np.ndarray:
         """Round floats onto the LNS grid (nearest exponent code)."""
         x = np.asarray(x, dtype=np.float64)
-        with timed_op(self.counters, "encode", x.size, fmt=self.name):
-            sign = (x < 0).astype(np.int64)
-            mag = np.abs(x)
-            finite_nz = (mag > 0) & np.isfinite(x)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                e = np.log2(np.where(finite_nz, mag, 1.0)) * (1 << self.fmt.frac_bits)
-            code = np.round(e).astype(np.int64)  # half to even, like the scalar
-            code = np.clip(code, self.fmt.e_min, self.fmt.e_max)  # saturate, never zero
-            code = np.where(np.isinf(x), self.fmt.e_max, code)  # +-inf saturate
-            nz = finite_nz | np.isinf(x)
-            e_code = np.where(nz, code, self.fmt.zero_code)
-            return self._pack(np.where(nz, sign, 0), e_code)
+        sign = (x < 0).astype(np.int64)
+        mag = np.abs(x)
+        finite_nz = (mag > 0) & np.isfinite(x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            e = np.log2(np.where(finite_nz, mag, 1.0)) * (1 << self.fmt.frac_bits)
+        code = np.round(e).astype(np.int64)  # half to even, like the scalar
+        code = np.clip(code, self.fmt.e_min, self.fmt.e_max)  # saturate, never zero
+        code = np.where(np.isinf(x), self.fmt.e_max, code)  # +-inf saturate
+        nz = finite_nz | np.isinf(x)
+        e_code = np.where(nz, code, self.fmt.zero_code)
+        return self._pack(np.where(nz, sign, 0), e_code)
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(codes, dtype=np.int64)
-        with timed_op(self.counters, "decode", codes.size, fmt=self.name):
-            return self.values[codes]
+    def _decode(self, codes: np.ndarray) -> np.ndarray:
+        return self.values[np.asarray(codes, dtype=np.int64)]
 
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        return self.decode(self.encode(x))
-
-    # ------------------------------------------------------------------
-    # Arithmetic
-    # ------------------------------------------------------------------
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Exact log-domain multiplication: integer add of exponent codes."""
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        with timed_op(self.counters, "mul", a.size, fmt=self.name):
-            sa, ea = self._unpack(a)
-            sb, eb = self._unpack(b)
-            zero = (ea == self.fmt.zero_code) | (eb == self.fmt.zero_code)
-            code = np.clip(ea + eb, self.fmt.e_min, self.fmt.e_max)
-            e_code = np.where(zero, self.fmt.zero_code, code)
-            return self._fault("mul", self._pack(sa ^ sb, e_code))
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Gaussian-log addition; pairwise table when available."""
-        a, b = np.broadcast_arrays(np.asarray(a), np.asarray(b))
-        with timed_op(self.counters, "add", a.size, fmt=self.name):
-            if self.add_table is not None:
-                return self._fault(
-                    "add", pairwise_lut(self.add_table, a, b).astype(self._code_dtype)
-                )
-            return self._fault("add", self._add_via_phi(a, b))
+    def _compute(self, op: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Phi addition, or exact log-domain multiplication: an integer
+        add of exponent codes (no table at any width)."""
+        if op == "add":
+            return self._add_via_phi(a, b)
+        sa, ea = self._unpack(a)
+        sb, eb = self._unpack(b)
+        zero = (ea == self.fmt.zero_code) | (eb == self.fmt.zero_code)
+        code = np.clip(ea + eb, self.fmt.e_min, self.fmt.e_max)
+        return self._pack(sa ^ sb, np.where(zero, self.fmt.zero_code, code))
 
     def _add_via_phi(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Vectorized replica of the scalar phi+/phi- addition."""
@@ -193,16 +170,6 @@ class LNSBackend:
         s_out = np.where(a_zero, sb, np.where(b_zero, sa, big_s))
         return self._pack(s_out, e_out)
 
-    def matmul(self, a: np.ndarray, b: np.ndarray, accumulate: str = "float64") -> np.ndarray:
-        """``(M, K) @ (K, N)``: exact log-domain products, linear-domain
-        float64 accumulation, one re-encode (the log-CNN accelerator model)."""
-        a, b = np.asarray(a), np.asarray(b)
-        if accumulate != "float64":
-            raise ValueError("LNSBackend supports accumulate='float64' only")
-        with timed_op(self.counters, "matmul[float64]", a.shape[0] * a.shape[1] * b.shape[1], fmt=self.name):
-            out = self.decode(a) @ self.decode(b)
-            return self._fault("matmul", self.encode(out))
-
     def dot_exact(self, a: np.ndarray, b: np.ndarray) -> int:
         """Float64-accumulated dot product, rounded once onto the grid."""
         a_flat = np.asarray(a).ravel()
@@ -210,7 +177,4 @@ class LNSBackend:
         with timed_op(self.counters, "dot_exact", a_flat.size, fmt=self.name):
             total = float(np.dot(self.values[a_flat.astype(np.int64)],
                                  self.values[b_flat.astype(np.int64)]))
-            return int(self.encode(np.asarray([total]))[0])
-
-    def __repr__(self):
-        return f"LNSBackend({self.name}, strategy={self.strategy!r})"
+            return int(self._encode(np.asarray([total]))[0])

@@ -37,7 +37,6 @@ import numpy as np
 
 from .fused import FusedPlan
 from .observe import METRICS, TRACER
-from .posit_backend import PositBackend
 from .registry import REGISTRY
 
 __all__ = ["FusedPlanSpec", "ModelHandle"]
@@ -62,10 +61,14 @@ class FusedPlanSpec:
         self.fault_plan, self.poison_audit = plan.fault_plan, plan.poison_audit
 
     def __call__(self):
+        from . import backend_for
+
+        backend = backend_for(self.fmt)
+        backend.stable_contractions = self.stable_contractions
         return FusedPlan.compile(
             self.net,
             self.fmt,
-            backend=PositBackend(self.fmt, stable_contractions=self.stable_contractions),
+            backend=backend,
             fault_plan=self.fault_plan,
             poison_audit=self.poison_audit,
         )

@@ -44,7 +44,7 @@ from .observe import METRICS, TRACER
 from .parallel import _MP_CONTEXT, _factory_for, _forward_chunk, _worker_init, _worker_run
 from .registry import REGISTRY, KernelRegistry
 
-__all__ = ["BatchedRunner", "ParallelRunner"]
+__all__ = ["BatchedRunner"]
 
 
 class BatchedRunner:
@@ -410,7 +410,3 @@ class BatchedRunner:
             f"BatchedRunner(workers={self.workers}, batch_size={self.batch_size}, "
             f"{self._items} items, {self._fallbacks} fallbacks)"
         )
-
-
-#: The same class under its former name: a runner with ``workers`` > 1.
-ParallelRunner = BatchedRunner

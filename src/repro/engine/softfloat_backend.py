@@ -23,6 +23,13 @@ strategy, ``wide``, swaps the tabulated codec for the bit-parallel
 field-extraction codec of :mod:`repro.floats.vector` — same
 decode/compute/encode datapath, still bit-exact as long as
 ``2 * precision + 2 <= 53``, which binary32 (p = 24) satisfies.
+
+The strategy choice, timed codec, elementwise ops, float64 ``matmul``
+(products exact for precision <= 26, a 53-bit accumulator as a finite
+Kulisch accumulator, one rounding) and the fused path's codec kernels
+are :class:`repro.engine.backend.CodecBackend`'s; this module adds the
+tabulated codec, its pair tables, the wide strategy's precision check
+and the exact Kulisch ``dot_exact``.
 """
 
 from __future__ import annotations
@@ -35,18 +42,14 @@ import numpy as np
 from ..floats.format import FloatFormat
 from ..floats.softfloat import SoftFloat
 from ..posit.tensor import TABLE_BUILD_CHUNK
-from .backend import OpCounters, timed_op
-from .faults import apply_code_faults
-from .kernels import pairwise_lut
+from .backend import CodecBackend, OpCounters, timed_op
 from .registry import REGISTRY, KernelRegistry
-from .wide import MAX_WIDE_BITS, get_wide_float_codec
+from .wide import get_wide_float_codec
 
 __all__ = ["SoftFloatCodec", "SoftFloatBackend"]
 
 #: Widest format the tabulated codec (and hence via-float) supports.
 _TABULATED_WIDTH = 20
-#: Widest format pairwise 2-D tables support (2**32 entries at 16 bits).
-_PAIRWISE_WIDTH = 16
 
 
 def _build_value_table(fmt: FloatFormat) -> np.ndarray:
@@ -179,9 +182,9 @@ def _build_float_pair_tables(codec: SoftFloatCodec) -> dict:
     :class:`~repro.floats.softfloat.SoftFloat` model (its test oracle).
     """
     fmt = codec.fmt
-    if fmt.width > _PAIRWISE_WIDTH:
+    if fmt.width > CodecBackend.PAIRWISE_BITS:
         raise ValueError(
-            f"pairwise tables support at most {_PAIRWISE_WIDTH}-bit formats "
+            f"pairwise tables support at most {CodecBackend.PAIRWISE_BITS}-bit formats "
             f"(a {fmt.width}-bit table would need 2**{2 * fmt.width} entries)"
         )
     n = 1 << fmt.width
@@ -198,8 +201,10 @@ def _build_float_pair_tables(codec: SoftFloatCodec) -> dict:
     return {"add": add, "mul": mul}
 
 
-class SoftFloatBackend:
+class SoftFloatBackend(CodecBackend):
     """Vectorized IEEE-style arithmetic for formats up to 32 bits."""
+
+    TABULATED_BITS = _TABULATED_WIDTH
 
     def __init__(
         self,
@@ -210,117 +215,29 @@ class SoftFloatBackend:
         strategy: Optional[str] = None,
         fault_plan=None,
     ):
-        if fmt.width > MAX_WIDE_BITS:
-            raise ValueError(
-                f"SoftFloatBackend supports at most {MAX_WIDE_BITS}-bit formats"
-            )
-        if strategy is None:
-            if fmt.width <= table_bits:
-                strategy = "pairwise"
-            elif fmt.width <= _TABULATED_WIDTH:
-                strategy = "via-float"
-            else:
-                strategy = "wide"
-        if strategy not in ("pairwise", "via-float", "wide"):
-            raise ValueError(f"unknown strategy {strategy!r}")
-        if strategy == "pairwise" and fmt.width > _PAIRWISE_WIDTH:
-            raise ValueError(
-                f"strategy 'pairwise' supports at most {_PAIRWISE_WIDTH}-bit "
-                f"formats; use 'via-float' (<= {_TABULATED_WIDTH} bits) or "
-                f"'wide' for {fmt}"
-            )
-        if strategy == "via-float" and fmt.width > _TABULATED_WIDTH:
-            raise ValueError(
-                f"strategy 'via-float' needs a tabulated codec "
-                f"(<= {_TABULATED_WIDTH} bits); use strategy='wide' for {fmt}"
-            )
+        strategy = self._pick_strategy(fmt, fmt.width, table_bits, strategy)
         if strategy == "wide" and 2 * fmt.precision + 2 > 53:
             raise ValueError(
                 f"the wide strategy computes in float64, which is only "
                 f"bit-exact while 2 * precision + 2 <= 53 (got precision "
                 f"{fmt.precision} for {fmt})"
             )
-        self.fmt = fmt
+        super().__init__(fmt, fmt.width, strategy, counters, registry, fault_plan)
         self.name = f"{fmt.name}{{1,{fmt.exp_bits},{fmt.frac_bits}}}"
         self.key = ("float", fmt.exp_bits, fmt.frac_bits)
-        self.strategy = strategy
-        self.counters = counters if counters is not None else OpCounters()
-        self._registry = registry if registry is not None else REGISTRY
         # The wide codec is table-free; the others share the registry's
         # 2**width value table.
-        self.codec = (
-            get_wide_float_codec(fmt, self._registry)
-            if strategy == "wide"
-            else get_softfloat_codec(fmt, self._registry)
-        )
-        self._code_dtype = (
-            np.uint8 if fmt.width <= 8 else np.uint16 if fmt.width <= 16 else np.uint32
-        )
+        if strategy == "wide":
+            self.codec = get_wide_float_codec(fmt, self.registry)
+        else:
+            self.codec = get_softfloat_codec(fmt, self.registry)
+            self.values = self.codec.values
         if strategy == "pairwise":
-            tables = self._registry.get(
+            tables = self.registry.get(
                 ("float", fmt.exp_bits, fmt.frac_bits, "addmul"),
                 lambda: _build_float_pair_tables(self.codec),
             )
             self.add_table, self.mul_table = tables["add"], tables["mul"]
-        else:
-            self.add_table = self.mul_table = None
-        #: Width of one code word — the bit-flip domain for fault injection.
-        self.code_bits = fmt.width
-        #: Optional :class:`repro.engine.faults.FaultPlan` corrupting op outputs.
-        self.fault_plan = fault_plan
-
-    def _fault(self, op: str, codes: np.ndarray) -> np.ndarray:
-        return apply_code_faults(self.fault_plan, self.name, op, codes, self.code_bits)
-
-    # ------------------------------------------------------------------
-    def encode(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        with timed_op(self.counters, "encode", x.size, fmt=self.name):
-            return self.codec.encode(x).astype(self._code_dtype)
-
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        codes = np.asarray(codes)
-        with timed_op(self.counters, "decode", codes.size, fmt=self.name):
-            return self.codec.decode(codes)
-
-    def quantize(self, x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=np.float64)
-        with timed_op(self.counters, "quantize", x.size, fmt=self.name):
-            return self.codec.quantize(x)
-
-    def add(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.asarray(a), np.asarray(b)
-        with timed_op(self.counters, "add", max(a.size, b.size), fmt=self.name):
-            if self.add_table is not None:
-                return self._fault("add", pairwise_lut(self.add_table, a, b))
-            with np.errstate(invalid="ignore"):  # inf - inf -> NaN -> qNaN code
-                out = self.codec.decode(a) + self.codec.decode(b)
-            return self._fault("add", self.codec.encode(out).astype(self._code_dtype))
-
-    def mul(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        a, b = np.asarray(a), np.asarray(b)
-        with timed_op(self.counters, "mul", max(a.size, b.size), fmt=self.name):
-            if self.mul_table is not None:
-                return self._fault("mul", pairwise_lut(self.mul_table, a, b))
-            with np.errstate(invalid="ignore"):  # inf * 0 -> NaN -> qNaN code
-                out = self.codec.decode(a) * self.codec.decode(b)
-            return self._fault("mul", self.codec.encode(out).astype(self._code_dtype))
-
-    def matmul(self, a: np.ndarray, b: np.ndarray, accumulate: str = "float64") -> np.ndarray:
-        """``(M, K) @ (K, N)``: Kulisch-style float64 accumulation.
-
-        Products are exact in float64 for any format with precision <= 26
-        (two p-bit significands multiply into 2p bits; binary32's p = 24
-        gives 48 <= 53); the 53-bit accumulator plays the role of a
-        (finite) Kulisch accumulator, and the result is rounded into the
-        format once.
-        """
-        a, b = np.asarray(a), np.asarray(b)
-        if accumulate != "float64":
-            raise ValueError("SoftFloatBackend supports accumulate='float64' only")
-        with timed_op(self.counters, "matmul[float64]", a.shape[0] * a.shape[1] * b.shape[1], fmt=self.name):
-            out = self.codec.decode(a) @ self.codec.decode(b)
-            return self._fault("matmul", self.codec.encode(out).astype(self._code_dtype))
 
     def dot_exact(self, a: np.ndarray, b: np.ndarray) -> int:
         """Exactly accumulated dot product (Kulisch), rounded once."""
@@ -348,6 +265,3 @@ class SoftFloatBackend:
             if inf_sign is not None:
                 return SoftFloat.inf(self.fmt, inf_sign).pattern
             return SoftFloat.from_fraction(self.fmt, acc).pattern
-
-    def __repr__(self):
-        return f"SoftFloatBackend({self.name}, strategy={self.strategy!r})"

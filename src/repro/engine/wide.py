@@ -128,9 +128,18 @@ class WideFloatCodec:
         #: add/mul (Figueroa's innocuous-double-rounding bound).
         self.exact_via_float64 = 2 * fmt.precision + 2 <= 53
 
-    def decode(self, codes: np.ndarray) -> np.ndarray:
-        """Exact float64 value of each code (NaN patterns -> NaN)."""
-        return fvec.vector_decode(self.fmt, codes)
+    def decode(self, codes: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """Exact float64 value of each code (NaN patterns -> NaN).
+
+        ``out`` (optional, float64, same shape as ``codes``) receives the
+        values, as in :meth:`WidePositCodec.decode`; it may alias the
+        storage behind ``codes``.
+        """
+        values = fvec.vector_decode(self.fmt, codes)
+        if out is None:
+            return values
+        out[...] = values
+        return out
 
     def encode(self, x: np.ndarray) -> np.ndarray:
         """Round a float64 array to codes: IEEE nearest, ties to even."""

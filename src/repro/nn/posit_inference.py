@@ -9,8 +9,9 @@ ulp, ~2**-53 relative, far below the final posit rounding), and
 accumulations model the quire (exact until the final rounding per
 output).
 
-:func:`reference_forward` states these semantics layer by layer; it is
-the oracle, not an execution path.  :class:`PositQuantizedNetwork` runs
+:func:`reference_forward` states these semantics layer by layer, over
+any posit, softfloat or LNS backend; it is the oracle, not an execution
+path.  :class:`PositQuantizedNetwork` runs
 one compiled :class:`repro.engine.fused.FusedPlan`, byte-equal to the
 reference, with fault injection and the poison audit as plan stages.
 All bulk arithmetic goes through a shared
@@ -30,7 +31,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..engine.backend import OpCounters
+from ..engine.backend import CodecBackend, OpCounters
 from ..engine.exact import blas
 from ..engine.fused import FusedPlan
 from ..engine.kernels import stable_matmul
@@ -42,13 +43,14 @@ from .network import Sequential
 __all__ = ["PositQuantizedNetwork", "reference_forward"]
 
 
-def reference_forward(net: Sequential, backend: PositBackend, x: np.ndarray) -> np.ndarray:
-    """The posit-inference semantics, layer by layer: the oracle.
+def reference_forward(net: Sequential, backend: CodecBackend, x: np.ndarray) -> np.ndarray:
+    """The quantized-inference semantics, layer by layer: the oracle.
 
-    Every Conv/Dense input and weight is rounded onto ``backend``'s posit
-    grid (``backend.quantize``), convolutions contract over im2col patches,
-    and each contraction is a plain float64 ``@`` (on BLAS pinned to one
-    thread, :func:`~repro.engine.exact.blas`) — or the fixed-order
+    Every Conv/Dense input and weight is rounded onto ``backend``'s grid
+    (``backend.quantize``; posit, softfloat or LNS), convolutions contract
+    over im2col patches, and each contraction is a plain float64 ``@``
+    (on BLAS pinned to one thread, :func:`~repro.engine.exact.blas`) — or
+    the fixed-order
     :func:`~repro.engine.kernels.stable_matmul` when
     ``backend.stable_contractions`` is set.  Bias, activations and all
     other layers run unquantized.  A compiled

@@ -23,7 +23,6 @@ from repro.engine import (
     ChaosPlan,
     FaultPlan,
     KernelRegistry,
-    ParallelRunner,
     PositBackend,
 )
 from repro.posit import POSIT8
@@ -54,7 +53,7 @@ def _chaos():
 class TestParallelUnderChaos:
     def test_results_survive_injected_crashes(self):
         x = np.random.default_rng(SEED).normal(size=(24, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=1),
             workers=2,
             batch_size=4,
@@ -73,7 +72,7 @@ class TestParallelUnderChaos:
         plan = FaultPlan(seed=SEED + 1, activation_rate=0.05)
         x = np.random.default_rng(SEED + 1).normal(size=(24, 6))
         want = BatchedRunner(TinyModel(seed=2), batch_size=4, fault_plan=plan).run(x)
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=2),
             workers=2,
             batch_size=4,
@@ -88,7 +87,7 @@ class TestParallelUnderChaos:
     def test_repeated_runs_degrade_gracefully(self):
         """Even once the restart budget is spent, runs keep answering."""
         x = np.random.default_rng(SEED + 2).normal(size=(16, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=3),
             workers=2,
             batch_size=4,

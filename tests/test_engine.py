@@ -321,6 +321,21 @@ class TestObservability:
         assert snap["add"]["calls"] == 1 and snap["mul"]["calls"] == 1
         assert counters.total("elements") >= 30
 
+    @pytest.mark.parametrize("fmt", [POSIT8, FP8_E4M3, LNSFormat(3, 4)], ids=str)
+    def test_matmul_and_quantize_record_one_op_each(self, fmt):
+        """A ``matmul`` is one ``matmul[float64]`` op (its internal decode
+        and encode are not separate ops) and ``quantize`` is recorded as
+        itself, on every codec backend."""
+        counters = OpCounters()
+        be = backend_for(fmt, counters=counters)
+        codes = be.encode(np.linspace(-2, 2, 16).reshape(4, 4))
+        counters.clear()
+        be.matmul(codes, codes)
+        assert {op: e["calls"] for op, e in counters.snapshot().items()} == {"matmul[float64]": 1}
+        counters.clear()
+        be.quantize(np.linspace(-2, 2, 16))
+        assert {op: e["calls"] for op, e in counters.snapshot().items()} == {"quantize": 1}
+
     def test_backend_for_dispatch(self):
         from repro.approx import ExactMultiplier
 

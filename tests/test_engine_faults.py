@@ -6,10 +6,10 @@ never from call order or process identity.  The acceptance bar is the
 parallel bit-identity tests — the same plan must corrupt identically
 in-process, across runs, and across ``workers=N`` sharding.
 
-Chaos tests exercise the graceful-degradation ladder of
-:class:`repro.engine.parallel.ParallelRunner`: pool retry, pool restart,
-and only then the in-process fallback, with every terminal fallback
-classified by cause.
+Chaos tests exercise the graceful-degradation ladder of a
+:class:`repro.engine.runner.BatchedRunner` worker pool: pool retry, pool
+restart, and only then the in-process fallback, with every terminal
+fallback classified by cause.
 """
 
 import numpy as np
@@ -19,9 +19,7 @@ from repro.engine import (
     BatchedRunner,
     ChaosPlan,
     FaultPlan,
-    FormatFaultModel,
     KernelRegistry,
-    ParallelRunner,
     PositBackend,
     SoftFloatBackend,
     apply_code_faults,
@@ -252,7 +250,7 @@ class TestParallelBitIdentity:
         x = np.random.default_rng(3).normal(size=(16, 1, 31, 20))
 
         y_inproc = BatchedRunner(qnet, batch_size=4).run(x)
-        with ParallelRunner(
+        with BatchedRunner(
             qnet, workers=2, batch_size=4
         ) as runner:
             y_par = runner.run(x)
@@ -266,7 +264,7 @@ class TestParallelBitIdentity:
         plan = FaultPlan(seed=17, activation_rate=0.05)
         x = np.random.default_rng(4).normal(size=(16, 6))
         y_inproc = BatchedRunner(TinyModel(seed=2), batch_size=4, fault_plan=plan).run(x)
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=2),
             workers=2,
             batch_size=4,
@@ -286,7 +284,7 @@ class TestParallelBitIdentity:
         plan = FaultPlan(seed=23, activation_rate=0.05)
         x = np.random.default_rng(6).normal(size=(16, 1, 31, 20))
         want = BatchedRunner(qnet, batch_size=4, fault_plan=plan).run(x)
-        with ParallelRunner(
+        with BatchedRunner(
             qnet, workers=2, batch_size=4, fault_plan=plan
         ) as runner:
             got = runner.run(x)
@@ -304,7 +302,7 @@ class TestParallelBitIdentity:
         be = PositBackend(POSIT8, strategy="pairwise", registry=reg)
         want = np.stack([be.add(pairs[:, 0], pairs[:, 1]), be.mul(pairs[:, 0], pairs[:, 1])], axis=1)
 
-        with ParallelRunner(
+        with BatchedRunner(
             PairwisePositModel(),
             workers=2,
             batch_size=8,
@@ -335,7 +333,7 @@ class TestChaosPlan:
     def test_crash_once_then_retry_succeeds(self):
         chaos = ChaosPlan(seed=0, crash_rate=1.0, attempts=(0,))
         x = np.random.default_rng(6).normal(size=(16, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=3),
             workers=2,
             batch_size=4,
@@ -353,7 +351,7 @@ class TestChaosPlan:
     def test_persistent_crashes_exhaust_retries_then_fall_back(self):
         chaos = ChaosPlan(seed=0, crash_rate=1.0)  # every attempt crashes
         x = np.random.default_rng(7).normal(size=(16, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=4),
             workers=2,
             batch_size=4,
@@ -371,7 +369,7 @@ class TestChaosPlan:
     def test_slowdown_trips_timeout_cause(self):
         chaos = ChaosPlan(seed=0, slow_rate=1.0, slow_s=5.0)
         x = np.random.default_rng(8).normal(size=(8, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             TinyModel(seed=5),
             workers=2,
             batch_size=4,
@@ -384,30 +382,3 @@ class TestChaosPlan:
         assert np.array_equal(y, TinyModel(seed=5).forward(x))
         assert stats["fallbacks"] >= 1
         assert stats["fallback_causes"].get("timeout", 0) >= 1
-
-
-# ----------------------------------------------------------------------
-# FormatFaultModel (the resilience-benchmark harness)
-# ----------------------------------------------------------------------
-class TestFormatFaultModel:
-    def _setup(self):
-        net = kws_cnn1(seed=0)
-        x = np.random.default_rng(10).normal(size=(4, 1, 31, 20))
-        return net, x
-
-    def test_zero_rate_is_plain_quantization(self):
-        net, x = self._setup()
-        be = SoftFloatBackend(FP8_E4M3, strategy="via-float")
-        baseline = FormatFaultModel(net, be).forward(x)
-        zero = FormatFaultModel(net, be, FaultPlan(seed=1, activation_rate=0.0)).forward(x)
-        assert np.array_equal(baseline, zero, equal_nan=True)
-
-    def test_faults_deterministic_and_visible(self):
-        net, x = self._setup()
-        be = PositBackend(POSIT8, strategy="via-float")
-        plan = FaultPlan(seed=2, activation_rate=0.02)
-        y1 = FormatFaultModel(net, be, plan).forward(x)
-        y2 = FormatFaultModel(net, be, plan).forward(x)
-        clean = FormatFaultModel(net, be).forward(x)
-        assert np.array_equal(y1, y2, equal_nan=True)
-        assert not np.array_equal(y1, clean, equal_nan=True)

@@ -22,7 +22,7 @@ import time
 import numpy as np
 import pytest
 
-from repro.engine import BatchedRunner, ParallelRunner, KernelRegistry
+from repro.engine import BatchedRunner, KernelRegistry
 from repro.engine.parallel import FusedPlanSpec, ModelHandle, _factory_for
 from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
 from repro.nn.zoo import kws_cnn1
@@ -94,7 +94,7 @@ class StallInWorker(TinyModel):
 # ----------------------------------------------------------------------
 class TestSpans:
     def test_spans_are_batch_aligned(self):
-        runner = ParallelRunner(TinyModel(), workers=3, batch_size=4)
+        runner = BatchedRunner(TinyModel(), workers=3, batch_size=4)
         for total in (1, 4, 10, 37, 64):
             spans = runner._spans(total)
             assert spans[0][0] == 0 and spans[-1][1] == total
@@ -103,7 +103,7 @@ class TestSpans:
         runner.close()
 
     def test_spans_are_one_per_worker(self):
-        runner = ParallelRunner(TinyModel(), workers=2, batch_size=4)
+        runner = BatchedRunner(TinyModel(), workers=2, batch_size=4)
         assert runner._spans(32) == [(0, 16), (16, 32)]
         # 3 batches over 2 workers: 2 batches, then the ragged rest
         assert runner._spans(10) == [(0, 8), (8, 10)]
@@ -111,9 +111,9 @@ class TestSpans:
 
     def test_rejects_bad_sizes(self):
         with pytest.raises(ValueError):
-            ParallelRunner(TinyModel(), batch_size=0)
+            BatchedRunner(TinyModel(), batch_size=0)
         with pytest.raises(TypeError):
-            ParallelRunner()
+            BatchedRunner()
 
 
 # ----------------------------------------------------------------------
@@ -125,7 +125,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(2)
         x = rng.normal(size=(26, 6))
         y_single = BatchedRunner(model, batch_size=4).run(x)
-        with ParallelRunner(model, workers=2, batch_size=4) as runner:
+        with BatchedRunner(model, workers=2, batch_size=4) as runner:
             y_par = runner.run(x)
             stats = runner.stats()
         assert np.array_equal(y_single, y_par)
@@ -138,7 +138,7 @@ class TestBitIdentity:
         rng = np.random.default_rng(3)
         x = rng.normal(size=(8, 1, 31, 20))
         y_single = BatchedRunner(qnet, batch_size=4).run(x)
-        with ParallelRunner(
+        with BatchedRunner(
             qnet, workers=2, batch_size=4
         ) as runner:
             y_par = runner.run(x)
@@ -155,7 +155,7 @@ class TestBitIdentity:
         pairs = np.stack([a, b], axis=1)
         model = Posit8PairwiseModel()
         y_single = BatchedRunner(model, batch_size=8192).run(pairs)
-        with ParallelRunner(
+        with BatchedRunner(
             model, workers=2, batch_size=8192
         ) as runner:
             y_par = runner.run(pairs)
@@ -174,7 +174,7 @@ class TestBitIdentity:
         model = TinyModel(seed=4)
         rng = np.random.default_rng(5)
         x = rng.normal(size=(9, 6))
-        runner = ParallelRunner(model, workers=1, batch_size=2)
+        runner = BatchedRunner(model, workers=1, batch_size=2)
         assert np.array_equal(runner.run(x), BatchedRunner(model, batch_size=2).run(x))
         assert runner.stats()["per_worker"] == []
         runner.close()
@@ -183,7 +183,7 @@ class TestBitIdentity:
     def test_in_process_run_is_not_a_fallback(self, workers):
         """A runner meant to run in process goes straight to the loop: no
         fallback, no fallback cause, no ``parallel.fallbacks.*`` counter."""
-        runner = ParallelRunner(TinyModel(), workers=workers, batch_size=2)
+        runner = BatchedRunner(TinyModel(), workers=workers, batch_size=2)
         runner.run(np.ones((9, 6)))
         stats = runner.stats()
         assert stats["fallbacks"] == 0 and stats["fallback_causes"] == {}
@@ -193,7 +193,7 @@ class TestBitIdentity:
 
     def test_stats_have_one_shape(self):
         x = np.ones((8, 6))
-        with ParallelRunner(TinyModel(), workers=2, batch_size=4) as pooled:
+        with BatchedRunner(TinyModel(), workers=2, batch_size=4) as pooled:
             pooled.run(x)
             pooled_keys = set(pooled.stats())
         local = BatchedRunner(TinyModel(), batch_size=4)
@@ -201,7 +201,7 @@ class TestBitIdentity:
         assert set(local.stats()) == pooled_keys
 
     def test_empty_input(self):
-        with ParallelRunner(TinyModel(), workers=2, batch_size=4) as runner:
+        with BatchedRunner(TinyModel(), workers=2, batch_size=4) as runner:
             out = runner.run(np.empty((0, 6)))
         assert out.shape == (0, 3)
 
@@ -244,7 +244,7 @@ class TestFallback:
         model = CrashInWorker(seed=8)
         rng = np.random.default_rng(9)
         x = rng.normal(size=(12, 6))
-        with ParallelRunner(model, workers=2, batch_size=4) as runner:
+        with BatchedRunner(model, workers=2, batch_size=4) as runner:
             y = runner.run(x)
             stats = runner.stats()
         assert np.array_equal(y, TinyModel(seed=8).forward(x))
@@ -254,7 +254,7 @@ class TestFallback:
         model = CrashInWorker(seed=10)
         rng = np.random.default_rng(11)
         x = rng.normal(size=(8, 6))
-        with ParallelRunner(model, workers=2, batch_size=4) as runner:
+        with BatchedRunner(model, workers=2, batch_size=4) as runner:
             runner.run(x)  # breaks the pool
             y = runner.run(x)  # second call must go straight in-process
         assert np.array_equal(y, TinyModel(seed=10).forward(x))
@@ -263,7 +263,7 @@ class TestFallback:
         model = CrashInWorker(seed=12)
         rng = np.random.default_rng(13)
         x = rng.normal(size=(8, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             model, workers=2, batch_size=4, fallback=False
         ) as runner:
             with pytest.raises(Exception):
@@ -273,7 +273,7 @@ class TestFallback:
         model = StallInWorker(seed=14)
         rng = np.random.default_rng(15)
         x = rng.normal(size=(8, 6))
-        with ParallelRunner(
+        with BatchedRunner(
             model, workers=2, batch_size=4, task_timeout=0.2
         ) as runner:
             y = runner.run(x)
@@ -300,7 +300,7 @@ class TestWorkerTables:
         engine = PositBackend(POSIT8, registry=reg)
         qnet = PositQuantizedNetwork(kws_cnn1(seed=1), POSIT8, engine=engine)
         x = np.random.default_rng(16).normal(size=(8, 1, 31, 20))
-        with ParallelRunner(qnet, workers=2, batch_size=4, registry=reg) as runner:
+        with BatchedRunner(qnet, workers=2, batch_size=4, registry=reg) as runner:
             y = runner.run(x)
             stats = runner.stats()
             assert list(tmp.iterdir()) == []  # while the pool is up, too
@@ -319,7 +319,7 @@ class TestParallelStats:
         model = TinyModel(seed=19)
         rng = np.random.default_rng(20)
         x = rng.normal(size=(24, 6))
-        with ParallelRunner(model, workers=2, batch_size=4) as runner:
+        with BatchedRunner(model, workers=2, batch_size=4) as runner:
             runner.run(x)
             stats = runner.stats()
         assert stats["items"] == 24 and stats["batches"] == 6
@@ -337,7 +337,7 @@ class TestParallelStats:
         qnet = PositQuantizedNetwork(net, POSIT8)
         rng = np.random.default_rng(21)
         x = rng.normal(size=(8, 1, 31, 20))
-        with ParallelRunner(
+        with BatchedRunner(
             qnet, workers=2, batch_size=4
         ) as runner:
             runner.run(x)
@@ -368,7 +368,7 @@ class TestParallelStats:
         qnet = audited()
         model = qnet.fused_plan() if hand_plan else qnet
         before = METRICS.counters.get("poison.nonfinite", 0)
-        with ParallelRunner(model, workers=2, batch_size=4) as runner:
+        with BatchedRunner(model, workers=2, batch_size=4) as runner:
             out = runner.run(x)
             stats = runner.stats()
         delta = METRICS.counters.get("poison.nonfinite", 0) - before
@@ -382,7 +382,7 @@ class TestParallelStats:
     def test_reset_clears_everything(self):
         model = TinyModel(seed=22)
         rng = np.random.default_rng(23)
-        with ParallelRunner(model, workers=2, batch_size=4) as runner:
+        with BatchedRunner(model, workers=2, batch_size=4) as runner:
             runner.run(rng.normal(size=(8, 6)))
             runner.reset()
             stats = runner.stats()
@@ -420,13 +420,13 @@ class TestRunnerLifecycle:
         worker — a leaked spawn process per server restart is a slow OOM."""
         x = np.arange(24, dtype=np.float64).reshape(4, 6)
         for i in range(10):
-            runner = ParallelRunner(TinyModel(), workers=2, batch_size=2)
+            runner = BatchedRunner(TinyModel(), workers=2, batch_size=2)
             runner.run(x)
             runner.close()
         assert multiprocessing.active_children() == []
 
     def test_close_is_idempotent(self):
-        runner = ParallelRunner(TinyModel(), workers=2, batch_size=2)
+        runner = BatchedRunner(TinyModel(), workers=2, batch_size=2)
         runner.run(np.zeros((2, 6)))
         runner.close()
         runner.close()
@@ -437,7 +437,7 @@ class TestRunnerLifecycle:
         """A closed runner must rebuild its pool (and owned cache dir) on
         the next run, and the reopened pool's output must not drift."""
         x = np.arange(36, dtype=np.float64).reshape(6, 6)
-        runner = ParallelRunner(TinyModel(), workers=2, batch_size=2)
+        runner = BatchedRunner(TinyModel(), workers=2, batch_size=2)
         first = runner.run(x)
         runner.close()
         second = runner.run(x)  # transparently reopens
@@ -449,7 +449,7 @@ class TestRunnerLifecycle:
         """After chaos breaks a pool into in-process fallback, restart()
         must hand back a working pool with a fresh crash budget."""
         x = np.zeros((4, 6))
-        runner = ParallelRunner(
+        runner = BatchedRunner(
             CrashInWorker(), workers=2, batch_size=2,
             task_retries=0, pool_restarts=0,
         )
@@ -494,7 +494,7 @@ class TestFusedPoolLifecycle:
         x = np.random.default_rng(0).normal(size=(20, 1, 31, 20))
         ref = None
         for i in range(10):
-            runner = ParallelRunner(plan, workers=2, batch_size=4)
+            runner = BatchedRunner(plan, workers=2, batch_size=4)
             out = runner.run(x)
             runner.close()
             if ref is None:
@@ -512,7 +512,7 @@ class TestFusedPoolLifecycle:
         x = np.random.default_rng(2).normal(size=(16, 1, 31, 20))
         ref = BatchedRunner(plan, batch_size=4).run(x)
         chaos = ChaosPlan(slow_rate=1.0, slow_s=5.0)
-        runner = ParallelRunner(
+        runner = BatchedRunner(
             plan,
             workers=2,
             batch_size=4,

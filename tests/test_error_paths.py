@@ -195,9 +195,9 @@ class TestFaultPlanErrors:
             ChaosPlan(crash_rate=0.7, slow_rate=0.7)  # sum > 1
 
     def test_runner_retry_budgets_validated(self):
-        from repro.engine import ParallelRunner
+        from repro.engine import BatchedRunner
 
         with pytest.raises(ValueError):
-            ParallelRunner(model=object(), workers=1, task_retries=-1)
+            BatchedRunner(model=object(), workers=1, task_retries=-1)
         with pytest.raises(ValueError):
-            ParallelRunner(model=object(), workers=1, pool_restarts=-1)
+            BatchedRunner(model=object(), workers=1, pool_restarts=-1)

@@ -12,8 +12,8 @@ runner with ``workers=2``.
 ``tests/golden/runner_fault.npz`` pins the runner's own fault site: float
 words flipped in each micro-batch at ``"runner.batch"`` before a generic
 ``forward(x)`` model or the kws1 posit<8,2> plan sees it.  The in-process
-:class:`BatchedRunner` produced it; the same runner on a worker pool,
-under either of its names, must reproduce it without falling back.
+:class:`BatchedRunner` produced it; the same runner on a worker pool
+must reproduce it without falling back.
 """
 
 import multiprocessing
@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from repro.engine import BatchedRunner, FaultPlan, ParallelRunner
+from repro.engine import BatchedRunner, FaultPlan
 from repro.nn.posit_inference import PositQuantizedNetwork
 from repro.nn.zoo import kws_cnn1
 from repro.posit import STD_POSIT8
@@ -68,7 +68,7 @@ def test_in_process_outputs_and_poison_report(golden):
 
 
 def test_parallel_runner(golden):
-    with ParallelRunner(_qnet(), workers=2, batch_size=FAULT_BATCH) as runner:
+    with BatchedRunner(_qnet(), workers=2, batch_size=FAULT_BATCH) as runner:
         y = runner.run(golden["x"])
         stats = runner.stats()
     assert stats["fallbacks"] == 0  # computed on the workers
@@ -88,9 +88,6 @@ RUNNERS = {
     ),
     "batched-workers": lambda model, plan: BatchedRunner(
         model, batch_size=RUNNER_FAULT_BATCH, workers=2, fault_plan=plan
-    ),
-    "parallel": lambda model, plan: ParallelRunner(
-        model, workers=2, batch_size=RUNNER_FAULT_BATCH, fault_plan=plan
     ),
 }
 

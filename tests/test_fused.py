@@ -1,9 +1,10 @@
 """Fused code-space inference: kernel parity, plan identity, sharding.
 
 The contract under test is the strongest the repo makes: a
-:class:`repro.engine.fused.FusedPlan` — the one executor of a posit
-network — changes no numerics.  For any input, any model, any supported
-format, its output is ``array_equal`` (bytes, not tolerances) with
+:class:`repro.engine.fused.FusedPlan` — the one executor of a quantized
+network, in posit, softfloat or LNS formats — changes no numerics.  For
+any input, any model, any supported format, its output is
+``array_equal`` (bytes, not tolerances) with
 :func:`repro.nn.posit_inference.reference_forward` over the same backend,
 whether run single-process, split at the code boundary, or sharded across
 worker processes.
@@ -21,7 +22,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.engine import BatchedRunner, CodecKernels, FaultPlan, ParallelRunner
+from repro.engine import BatchedRunner, CodecKernels, FaultPlan, backend_for
 from repro.engine.fused import FusedPlan
 from repro.engine.posit_backend import PositBackend
 from repro.engine.registry import (
@@ -30,6 +31,8 @@ from repro.engine.registry import (
     get_encode_table,
 )
 from repro.nn.posit_inference import PositQuantizedNetwork, reference_forward
+from repro.floats import BFLOAT16, BINARY16, BINARY32, FP8_E4M3
+from repro.lns import LNSFormat
 from repro.nn.zoo import kws_cnn1, kws_cnn2, resnet_mini
 from repro.posit import POSIT8, POSIT16, POSIT32, STD_POSIT8
 from repro.posit.format import PositFormat
@@ -130,7 +133,7 @@ MODELS = [
     (kws_cnn2, (1, 31, 20)),
     (resnet_mini, (3, 16, 16)),
 ]
-FORMATS = [POSIT8, STD_POSIT8, POSIT16, POSIT32]
+FORMATS = [POSIT8, STD_POSIT8, POSIT16, POSIT32, FP8_E4M3, BINARY16, BFLOAT16, BINARY32, LNSFormat(4, 3)]
 
 
 class TestFusedPlanIdentity:
@@ -138,7 +141,7 @@ class TestFusedPlanIdentity:
     @pytest.mark.parametrize("fmt", FORMATS, ids=str)
     def test_forward_bit_identical_to_unfused(self, build, shape, fmt):
         net = build(seed=11)
-        backend = PositBackend(fmt)
+        backend = backend_for(fmt)
         plan = FusedPlan.compile(net, fmt, backend=backend)
         x = np.random.default_rng(3).normal(size=(5,) + shape)
         assert np.array_equal(plan.forward(x), reference_forward(net, backend, x), equal_nan=True)
@@ -150,6 +153,15 @@ class TestFusedPlanIdentity:
         codes = plan.encode_input(x)
         assert codes.dtype == plan.code_dtype
         assert np.array_equal(plan.forward_codes(codes), plan.forward(x))
+
+    @pytest.mark.parametrize("fmt", FORMATS, ids=str)
+    def test_codes_split_equals_forward_in_every_format(self, fmt):
+        plan = FusedPlan.compile(kws_cnn2(seed=2), fmt)
+        assert type(plan.engine) is type(backend_for(fmt))
+        x = np.random.default_rng(4).normal(size=(3, 1, 31, 20))
+        codes = plan.encode_input(x)
+        assert codes.dtype == plan.code_dtype
+        assert np.array_equal(plan.forward_codes(codes), plan.forward(x), equal_nan=True)
 
     def test_codes_slicing_is_elementwise(self):
         """encode(x)[s:e] == encode(x[s:e]) — the sharding precondition."""
@@ -250,6 +262,24 @@ class TestFaultAndPoisonStages:
         assert sites == [f"activation.{i}.layer.{type(layer).__name__}" for i, layer in enumerate(net.layers)]
         assert plan.input_rep == "codes"  # the input encode still leads
 
+    def test_zero_rate_plan_equals_clean_plan(self):
+        net = kws_cnn1(seed=0)
+        backend = backend_for(FP8_E4M3)
+        clean = FusedPlan.compile(net, FP8_E4M3, backend=backend)
+        zero = FusedPlan.compile(net, FP8_E4M3, backend=backend, fault_plan=FaultPlan(seed=1, activation_rate=0.0))
+        x = np.random.default_rng(10).normal(size=(4, 1, 31, 20))
+        assert np.array_equal(zero.forward(x), clean.forward(x), equal_nan=True)
+
+    def test_faults_deterministic_and_visible(self):
+        net = kws_cnn1(seed=0)
+        plan = FaultPlan(seed=2, activation_rate=0.02)
+        x = np.random.default_rng(10).normal(size=(4, 1, 31, 20))
+        y1 = FusedPlan.compile(net, POSIT8, fault_plan=plan).forward(x)
+        y2 = FusedPlan.compile(net, POSIT8, fault_plan=plan).forward(x)
+        clean = FusedPlan.compile(net, POSIT8).forward(x)
+        assert np.array_equal(y1, y2, equal_nan=True)
+        assert not np.array_equal(y1, clean, equal_nan=True)
+
     def test_audit_passes_values_through(self):
         net = kws_cnn1(seed=0)
         clean = FusedPlan.compile(net, POSIT8)
@@ -305,7 +335,7 @@ class TestFusedPickledShards:
         plan = qnet.fused_plan()
         x = np.random.default_rng(2).normal(size=(40, 1, 31, 20))
         ref = qnet.predict(x, batch=8)
-        with ParallelRunner(plan, workers=2, batch_size=8) as runner:
+        with BatchedRunner(plan, workers=2, batch_size=8) as runner:
             got = runner.run(x)
             stats = runner.stats()
         assert np.array_equal(got, ref)
@@ -314,7 +344,7 @@ class TestFusedPickledShards:
 
     def test_float_entry_plan_uses_pickling_transport(self):
         """A plan whose first layer is unquantized has no input encode;
-        ParallelRunner must still shard it bit-identically."""
+        a runner with workers=2 must still shard it bit-identically."""
         from repro.nn.layers import Dense, Flatten, ReLU
         from repro.nn.network import Sequential
 
@@ -328,6 +358,6 @@ class TestFusedPickledShards:
         assert plan.input_rep == "float"
         x = np.random.default_rng(1).normal(size=(12, 12))
         single = plan.forward(x)
-        with ParallelRunner(plan, workers=2, batch_size=4) as runner:
+        with BatchedRunner(plan, workers=2, batch_size=4) as runner:
             got = runner.run(x)
         assert np.array_equal(got, single)

@@ -17,7 +17,7 @@ import multiprocessing
 import numpy as np
 import pytest
 
-from repro.engine import ParallelRunner
+from repro.engine import BatchedRunner
 from repro.engine.fused import FusedPlan
 from repro.engine.posit_backend import PositBackend
 from repro.nn.layers import Dense, ReLU
@@ -76,7 +76,7 @@ def test_fused_code_boundary_matches_golden(golden, net):
 
 def test_fused_workers_pickled_shards_match_golden(golden, net):
     plan = FusedPlan.compile(net, POSIT8)
-    with ParallelRunner(plan, workers=2, batch_size=4) as runner:
+    with BatchedRunner(plan, workers=2, batch_size=4) as runner:
         y = runner.run(golden["x"])
     assert y.tobytes() == golden["y"].tobytes()
     assert multiprocessing.active_children() == []

@@ -19,7 +19,6 @@ from repro.engine import (
     Histogram,
     Metrics,
     OpCounters,
-    ParallelRunner,
     Tracer,
     load_jsonl,
     report,
@@ -337,7 +336,7 @@ class TestParallelObservability:
         sync_dir = tmp_path / "sync"
         sync_dir.mkdir()
         model = BothWorkersModel(str(sync_dir))
-        with ParallelRunner(
+        with BatchedRunner(
             model,
             workers=2,
             batch_size=32,
