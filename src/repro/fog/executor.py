@@ -6,9 +6,9 @@ requests) -> list``, ``close``, ``restart``, ``stats``): the TCP front
 end's dynamic batcher hands it a coalesced batch, and the batch routes
 through the fog :class:`~repro.fog.topology.Router` as one batch of named
 computations (:meth:`~repro.fog.topology.Router.submit_batch`) — duplicates
-collapsed, one interest per ingress node, cache hits served without
-re-execution, owned misses executed together at the node, dead owners
-rerouted around.  Enable it on a server with
+collapsed, one interest per node per round of the walk, cache hits served
+without re-execution, owned misses executed together at the node, dead
+owners rerouted around.  Enable it on a server with
 ``ServeConfig(fog_nodes=N)`` or ``python -m repro.serve --fog-nodes N``.
 
 Results are byte-identical to direct :class:`EngineExecutor` execution
@@ -23,7 +23,7 @@ from typing import Dict, List, Optional, Tuple
 
 from ..engine.observe import METRICS, Metrics
 from ..serve.protocol import ProtocolError, Request
-from .topology import FogTopology, FogUnavailable, Router
+from .topology import FogUnavailable, Router
 
 __all__ = ["FogExecutor"]
 
@@ -32,36 +32,14 @@ class FogExecutor:
     """Serve-executor adapter over a fog :class:`~repro.fog.topology.Router`.
 
     Parameters:
-        topology: An existing fog to serve through (a :class:`FogTopology`
-            or :class:`~repro.fog.fabric.FogFabric`), or ``None`` to build
-            a :class:`FogTopology` from the remaining arguments.
-        nodes / replicas / executor_opts / store_policy / store_reverify:
-            Forwarded to :class:`FogTopology` when ``topology`` is ``None``.
+        topology: The fog to serve through (a :class:`FogTopology` or
+            :class:`~repro.fog.fabric.FogFabric`); closing the executor
+            closes it.
     """
 
-    def __init__(
-        self,
-        topology: Optional[Router] = None,
-        nodes: int = 4,
-        replicas: int = 2,
-        metrics: Optional[Metrics] = None,
-        executor_opts: Optional[dict] = None,
-        store_policy: str = "lru",
-        store_reverify: int = 1,
-    ):
+    def __init__(self, topology: Router, metrics: Optional[Metrics] = None):
         self.metrics = metrics if metrics is not None else METRICS
-        self.topology = (
-            topology
-            if topology is not None
-            else FogTopology(
-                nodes=nodes,
-                replicas=replicas,
-                metrics=self.metrics,
-                executor_opts=executor_opts,
-                store_policy=store_policy,
-                store_reverify=store_reverify,
-            )
-        )
+        self.topology = topology
         self.executed = 0
 
     # ------------------------------------------------------------------

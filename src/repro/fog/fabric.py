@@ -156,16 +156,17 @@ class PeerTransport:
         except PeerError:
             pass  # the warm-restart hook re-advertises when it comes back
 
-    def interest(self, name: str, items: Sequence[tuple], hedged: bool = False) -> Callable[[], list]:
+    def interest(self, name: str, items: Sequence[tuple]) -> Callable[[], list]:
         """Send ``(cname, request, deadline)`` items to one peer; returns
         the collect callable (one :class:`Answer` or ``None`` per item).
 
-        The items travel as one interest frame, split only where a frame
-        or its response would pass ``MAX_FRAME_BYTES``.  Items whose
-        budget is spent stay home, and any failure — send, wait, a bad
-        payload, a digest mismatch — declines the items it touches.  A
-        hedge leg rides a one-shot connection so an abandoned loser can
-        never leave a stale response in the shared stream.
+        The items travel as one interest frame on the peer's pipelined
+        connection, split only where a frame or its response would pass
+        ``MAX_FRAME_BYTES``.  Items whose budget is spent stay home, and
+        any failure — send, wait, a bad payload, a digest mismatch —
+        declines the items it touches.  A hedge race's losing leg needs
+        nothing special: its late answer completes its waiter, or is
+        discarded as an orphan once the wait gave up.
         """
         answers: List[Optional[Answer]] = [None] * len(items)
         breaker = self.breakers[name]
@@ -186,7 +187,7 @@ class PeerTransport:
             )
             wait_s = min(self.request_timeout_s, max(budgets[i] for i in indices) / 1e3)
             try:
-                ticket = client.send(frame, oneshot=hedged)
+                ticket = client.send(frame)
             except PeerError:
                 self._peer_failed(breaker)
                 continue

@@ -27,9 +27,9 @@ responses are rid-correlated, a timed-out request simply abandons its id
 stream; only socket-level failures drop the connection, failing every
 in-flight future at once.  Heartbeats ride a dedicated long-lived probe
 connection (re-dialed on failure) so liveness probes pay the connect cost
-once, not once per probe, and never queue behind a long execution; hedged
-interests still use one-shot connections so an abandoned loser cannot
-desynchronize anything.
+once, not once per probe, and never queue behind a long execution.  Hedge
+legs ride the same pipelined connection: the losing leg's late answer
+completes its waiter or, once abandoned, is discarded as an orphan.
 
 On the node side a small worker pool serves data-plane frames
 concurrently — control frames (heartbeat/stats) are answered inline by the
@@ -185,16 +185,15 @@ class CircuitBreaker:
 # ----------------------------------------------------------------------
 class _Waiter:
     """One sent request's completion slot (the ticket :meth:`PeerClient.send`
-    returns): a pipelined ``rid``, or the dedicated socket of a one-shot."""
+    returns), keyed by its pipelined ``rid``."""
 
-    __slots__ = ("event", "response", "error", "rid", "sock")
+    __slots__ = ("event", "response", "error", "rid")
 
-    def __init__(self, rid: Optional[int] = None, sock: Optional[socket.socket] = None):
+    def __init__(self, rid: int):
         self.event = threading.Event()
         self.response: Optional[dict] = None
         self.error: Optional[PeerError] = None
         self.rid = rid
-        self.sock = sock
 
 
 class PeerClient:
@@ -336,19 +335,11 @@ class PeerClient:
         waiter.event.set()
 
     # ------------------------------------------------------------------
-    def call(
-        self,
-        frame: dict,
-        timeout_s: Optional[float] = None,
-        oneshot: bool = False,
-    ) -> dict:
+    def call(self, frame: dict, timeout_s: Optional[float] = None) -> dict:
         """Send one frame, await its response frame; raises :class:`PeerError`.
 
-        :meth:`send` then :meth:`wait`.  The persistent path pipelines:
-        concurrent callers interleave on one connection and are completed
-        by rid.  ``oneshot=True`` dials a dedicated connection for this
-        exchange — what hedged interests use so an abandoned loser can
-        never leave a stale response in the shared stream.
+        :meth:`send` then :meth:`wait`: concurrent callers interleave on
+        one connection and are completed by rid.
         """
         timeout = self.request_timeout_s if timeout_s is None else float(timeout_s)
         if timeout <= 0:
@@ -356,23 +347,15 @@ class PeerClient:
             # wire, instead of racing the peer's answer.
             self.metrics.inc("fabric.peer.call_timeouts")
             raise PeerError(f"call to {self.name} with no time left ({timeout:.3f}s)")
-        return self.wait(self.send(frame, oneshot=oneshot), timeout)
+        return self.wait(self.send(frame), timeout)
 
-    def send(self, frame: dict, oneshot: bool = False) -> _Waiter:
+    def send(self, frame: dict) -> _Waiter:
         """Put one frame on the wire; returns the ticket :meth:`wait` takes.
 
         Sending several frames before waiting on any lets one caller keep
         many nodes (or one node's pool) busy at once.
         """
         try:
-            if oneshot:
-                sock = self._connect()
-                try:
-                    sock.sendall(pack_frame(frame))
-                except (OSError, ProtocolError) as err:
-                    sock.close()
-                    raise PeerError(f"oneshot send to {self.name}: {err}")
-                return _Waiter(sock=sock)
             with self._io_lock:
                 sock, generation = self._ensure_connected_locked()
                 self._rid += 1
@@ -400,22 +383,10 @@ class PeerClient:
     def wait(self, waiter: _Waiter, timeout_s: Optional[float] = None) -> dict:
         """The response to a :meth:`send`; raises :class:`PeerError`.
 
-        A pipelined request that times out abandons its rid (a late
-        answer is discarded as an orphan) without dropping the stream.
+        A request that times out abandons its rid (a late answer is
+        discarded as an orphan) without dropping the stream.
         """
         timeout = self.request_timeout_s if timeout_s is None else max(0.0, float(timeout_s))
-        if waiter.sock is not None:
-            sock = waiter.sock
-            try:
-                sock.settimeout(timeout if timeout > 0 else 1e-6)
-                return self._read_one(sock, f"oneshot call to {self.name}")
-            except OSError as err:
-                raise PeerError(f"oneshot call to {self.name}: {err}")
-            finally:
-                try:
-                    sock.close()
-                except OSError:
-                    pass
         if not waiter.event.wait(timeout):
             with self._io_lock:
                 self._pending.pop(waiter.rid, None)
@@ -429,26 +400,19 @@ class PeerClient:
             raise waiter.error
         return waiter.response
 
-    def _read_one(
-        self,
-        sock: socket.socket,
-        what: str,
-        assembler: Optional[FrameAssembler] = None,
-    ) -> dict:
-        """Read exactly one frame off a serial (non-pipelined) socket."""
-        assembler = assembler if assembler is not None else FrameAssembler()
+    def _read_probe(self) -> dict:
+        """Read exactly one frame off the serial probe connection."""
         while True:
             try:
-                frame = assembler.next_frame()
+                frame = self._probe_asm.next_frame()
             except ProtocolError as err:
                 raise PeerError(f"bad frame from {self.name}: {err}")
             if frame is not None:
-                frame.pop("rid", None)
                 return frame
-            chunk = sock.recv(1 << 16)
+            chunk = self._probe_sock.recv(1 << 16)
             if not chunk:
-                raise PeerError(f"{what}: peer closed the connection")
-            assembler.feed(chunk)
+                raise PeerError(f"heartbeat to {self.name}: peer closed the connection")
+            self._probe_asm.feed(chunk)
 
     # ------------------------------------------------------------------
     def heartbeat(self, seq: int, timeout_s: float = 1.0) -> dict:
@@ -470,9 +434,7 @@ class PeerClient:
                 sock = self._probe_sock
                 sock.settimeout(timeout_s)
                 sock.sendall(pack_frame(frame))
-                resp = self._read_one(
-                    sock, f"heartbeat to {self.name}", self._probe_asm
-                )
+                resp = self._read_probe()
                 if not resp.get("ok") or resp.get("seq") != int(seq):
                     # A stale or mismatched ack means the probe stream is
                     # desynchronized; only a fresh dial restores trust.

@@ -15,18 +15,20 @@ the NFN request walk over a whole batch (:meth:`Router.submit_batch`;
 :meth:`Router.submit` is its one-item case):
 
 1. each interest enters at an ingress node (round-robin over routable
-   nodes, per leader), and every ingress node gets the batch's interests
-   for it as **one** interest, all of them sent before any answer is
-   awaited;
+   nodes, per leader);
 2. the ingress answers from its content store, or executes if it owns the
    capability — owned misses of one capability as one engine batch
    (:meth:`FogNode.answer <repro.fog.node.FogNode.answer>`);
-3. what it declines or fails is **forwarded**, item by item, to the
-   capability's owners in rendezvous order — skipping the primary counts
-   a *reroute* — each owner with its retry budget and, optionally, a
-   hedge racing the next replica;
+3. what it declines or fails is **forwarded** to the capability's owners
+   in rendezvous order — skipping the primary counts a *reroute* — each
+   owner with its retry budget and, optionally, a hedge racing the next
+   replica;
 4. an owner's answer rides the reverse path back into the ingress store
    (on-path caching, so repeated interests hit where they enter).
+
+Steps 1 and 3 are one walk in rounds: each round groups the open items by
+the node they ask next, and every node gets its group as **one**
+interest, all of them sent before any answer is awaited.
 
 Duplicate interests — inside a batch or already in flight — collapse onto
 one walk (singleflight), and each request spends its own deadline
@@ -114,6 +116,11 @@ def retry_backoff_ms(
     return min(float(cap_ms), base * factor)
 
 
+def _wire(group) -> List[tuple]:
+    """A group of walk items as a transport's ``(cname, request, deadline)`` items."""
+    return [(it.name, it.request, it.deadline) for it in group]
+
+
 class Answer(NamedTuple):
     """One node's answer to an interest."""
 
@@ -142,7 +149,7 @@ class _Gate:
 class _Item:
     """One leader interest on its walk through the fog."""
 
-    __slots__ = ("request", "name", "uri", "deadline", "gate", "entry", "path")
+    __slots__ = ("request", "name", "uri", "deadline", "gate", "entry", "path", "node", "attempt")
 
     def __init__(self, request: Request, name: ComputationName, deadline: Optional[float]):
         self.request = request
@@ -153,6 +160,10 @@ class _Item:
         self.entry: Optional[str] = None
         #: Nodes already asked (and declined or failed), in order.
         self.path: List[str] = []
+        #: The owner being asked (``None``: pick the next) and the retries
+        #: already spent on it.
+        self.node: Optional[str] = None
+        self.attempt = 0
 
 
 class LocalTransport:
@@ -181,7 +192,7 @@ class LocalTransport:
     def advertise(self, name: str, batch_key: Tuple) -> None:
         self.nodes[name].advertise(batch_key)
 
-    def interest(self, name: str, items: Sequence[tuple], hedged: bool = False) -> Callable[[], list]:
+    def interest(self, name: str, items: Sequence[tuple]) -> Callable[[], list]:
         try:
             found = self.nodes[name].answer([(cname, request) for cname, request, _ in items])
         except NodeDown:
@@ -446,106 +457,108 @@ class Router:
                 item.gate.event.set()
 
     def _walk(self, items: List[_Item], ingress: Optional[str]) -> None:
-        """Hop 1 for the whole batch, then the owner ladder per declined item."""
-        transport = self.transport
+        """Move every leader forward in rounds, one interest per node a round.
+
+        Round 1 asks each item's ingress; every later round asks each open
+        item's owner — the one it is retrying, else the next routable owner
+        in rendezvous order that is not on its path — until it is answered
+        or ends (deadline, degradation, unavailable).
+        """
         for item in items:
             # Ownership first: owners learn their capabilities before any
             # of them is asked to serve it.
             self.owner_names(item.request.batch_key())
-        # Hop 1 — the ingress edge nodes (round-robin per leader): cache
-        # answers or owner executions.  One interest per ingress node,
-        # every one on its way before any is collected.
-        groups: Dict[str, List[_Item]] = {}
-        for item in items:
             item.entry = ingress if ingress is not None else self._next_ingress()
-            if item.entry is not None and self._remaining_ms(item.deadline) > 0:
-                groups.setdefault(item.entry, []).append(item)
-        sent = [
-            (group, transport.interest(entry, [(it.name, it.request, it.deadline) for it in group]))
-            for entry, group in groups.items()
-        ]
-        for group, collect in sent:
-            for item, answer in zip(group, collect()):
-                if isinstance(answer, BaseException):
-                    item.gate.error = answer
-                elif answer is not None:
-                    self._resolve(item, self._counted(answer))
-                else:
-                    item.path.append(item.entry)
-        # Hop 2..n — what hop 1 left open walks the owner ladder alone.
-        for item in items:
-            if item.gate.result is None and item.gate.error is None:
-                try:
-                    self._resolve(item, self._ladder(item))
-                except Exception as err:  # noqa: BLE001 — resolve, don't drop
-                    item.gate.error = err
+        ladder = False
+        while items:
+            groups: Dict[str, List[_Item]] = {}
+            for item in items:
+                node = self._next_owner(item) if ladder else item.entry
+                if node is not None:
+                    groups.setdefault(node, []).append(item)
+            self._round(groups, ladder)
+            ladder = True
+            items = [item for item in items if item.gate.result is None and item.gate.error is None]
+
+    def _round(self, groups: Dict[str, List[_Item]], ladder: bool) -> None:
+        """Send every node its group as one interest, then collect them all.
+
+        A round that retries owners first backs off once: each retrying
+        group's jittered delay (keyed by its first retrying item's URI and
+        attempt), the longest of them, clamped to the earliest retrying
+        deadline.  Items whose budget is spent stay home.
+        """
+        retrying = [[it for it in group if it.attempt] for group in groups.values()]
+        retrying = [group for group in retrying if group]
+        if retrying:
+            delay = max(retry_backoff_ms(self.retry_backoff_base_ms, g[0].attempt - 1, g[0].uri) for g in retrying)
+            delay = min([delay] + [self._remaining_ms(it.deadline) for g in retrying for it in g])
+            time.sleep(max(0.0, delay) / 1e3)
+        live = {n: [it for it in group if self._remaining_ms(it.deadline) > 0] for n, group in groups.items()}
+        groups = {node: group for node, group in live.items() if group}
+        retried = sum(1 for group in groups.values() for it in group if it.attempt)
+        if retried:
+            self.retries_used += retried
+            self._count("retries", retried)
+        if ladder and self.hedge_ms is not None:
+            answers = self._race(groups)
+        else:
+            sent = [(group, self.transport.interest(node, _wire(group))) for node, group in groups.items()]
+            answers = [pair for group, collect in sent for pair in zip(group, collect())]
+        for item, answer in answers:
+            if isinstance(answer, BaseException):
+                item.gate.error = answer
+            elif answer is not None:
+                # Reverse-path caching: an owner's answer rides back to the
+                # ingress so repeated interests hit where they enter.
+                if ladder and item.entry is not None and self.transport.routable(item.entry):
+                    if self.transport.carry(item.entry, item.name, answer):
+                        self._count("repopulations")
+                self._resolve(item, self._counted(answer))
+            elif not ladder:
+                item.path.append(item.entry)
+            elif item.attempt < self.retries and self.transport.routable(item.node):
+                item.attempt += 1
+            else:
+                item.path.append(item.node)  # declined, failed or gone: next owner
+                item.node, item.attempt = None, 0
+
+    def _next_owner(self, item: _Item) -> Optional[str]:
+        """The owner ``item`` asks this round, or ``None`` once it has ended."""
+        if self._remaining_ms(item.deadline) <= 0:
+            self._count("deadline_exhausted")
+            item.gate.error = DeadlineExceeded(f"deadline budget spent routing {item.uri} (tried {sorted(item.path)})")
+            return None
+        if item.node is not None:
+            return item.node
+        key = item.request.batch_key()
+        owners, path = self.owner_names(key), item.path
+        item.node = next((n for n in owners if n not in path and self.routable(n)), None)
+        if item.node is None:
+            # Degradation ladder, last rung: every owner unreachable — serve
+            # the request locally (counted) rather than serving nothing.
+            if self.degrade_local:
+                self._execute_local(item)
+            else:
+                self.unavailable += 1
+                self._count("unavailable")
+                item.gate.error = FogUnavailable(f"no reachable owner for {_slug(key)} (interest {item.uri})", item.uri)
+            return None
+        if path:
+            self.forwards += 1
+            self._count("forwards")
+            self._count(f"node.{path[-1]}.forwards")
+        # A reroute is a forward that had to skip the rendezvous primary —
+        # it is down, or it was already asked and failed.
+        if item.node != owners[0] and (owners[0] in path or not self.routable(owners[0])):
+            self.reroutes += 1
+            self._count("reroutes")
+            self._count(f"node.{item.node}.reroutes_absorbed")
+        return item.node
 
     def _resolve(self, item: _Item, answer: Answer) -> None:
         self.transport.remember(item.uri, answer)
         item.gate.result = answer.result
-
-    def _ladder(self, item: _Item) -> Answer:
-        """The capability's owners in rendezvous order, skipping whoever was
-        already asked, each with its retry budget; then degradation."""
-        name, request, entry, deadline, path = item.name, item.request, item.entry, item.deadline, item.path
-        key = request.batch_key()
-        owners = self.owner_names(key)
-        primary = owners[0]
-        transport = self.transport
-        for idx, owner in enumerate(owners):
-            if owner in path or not transport.routable(owner):
-                continue
-            if self._remaining_ms(deadline) <= 0:
-                break
-            if path:
-                self.forwards += 1
-                self._count("forwards")
-                self._count(f"node.{path[-1]}.forwards")
-            # A reroute is a forward that had to skip the rendezvous
-            # primary — it is down, or it was already asked and failed.
-            if owner != primary and (primary in path or not transport.routable(primary)):
-                self.reroutes += 1
-                self._count("reroutes")
-                self._count(f"node.{owner}.reroutes_absorbed")
-            hedge_to = None
-            if self.hedge_ms is not None:
-                hedge_to = next(
-                    (n for n in owners[idx + 1 :] if n not in path and transport.routable(n)),
-                    None,
-                )
-            answer = self._ask_owner(owner, name, request, deadline, hedge_to)
-            if answer is not None:
-                # Reverse-path caching: the answer rides back to the
-                # ingress so repeated interests hit where they enter.
-                if entry is not None and transport.routable(entry):
-                    if transport.carry(entry, name, answer):
-                        self._count("repopulations")
-                return self._counted(answer)
-            path.append(owner)
-        if self._remaining_ms(deadline) <= 0:
-            self._count("deadline_exhausted")
-            raise DeadlineExceeded(f"deadline budget spent routing {item.uri} (tried {sorted(path)})")
-        # Degradation ladder, last rung: every owner unreachable — serve
-        # the request locally (counted) rather than serving nothing.
-        if self.degrade_local:
-            return self._execute_local(request)
-        self.unavailable += 1
-        self._count("unavailable")
-        raise FogUnavailable(f"no reachable owner for {_slug(key)} (interest {item.uri})", name=item.uri)
-
-    def _interest(
-        self,
-        node: str,
-        name: ComputationName,
-        request: Request,
-        deadline: Optional[float],
-        hedged: bool = False,
-    ) -> Optional[Answer]:
-        """One interest of one item to one node (the ladder's step)."""
-        answer = self.transport.interest(node, [(name, request, deadline)], hedged=hedged)()[0]
-        if isinstance(answer, BaseException):
-            raise answer
-        return answer
 
     def _counted(self, answer: Answer) -> Answer:
         if answer.source == "cache":
@@ -556,78 +569,57 @@ class Router:
             self._count("remote_execs")
         return answer
 
-    def _ask_owner(
-        self,
-        owner: str,
-        name: ComputationName,
-        request: Request,
-        deadline: Optional[float],
-        hedge_to: Optional[str],
-    ) -> Optional[Answer]:
-        """One owner, up to ``retries`` extra attempts; ``None`` if it fails."""
-        for attempt in range(self.retries + 1):
-            remaining = self._remaining_ms(deadline)
-            if remaining <= 0:
-                return None
-            if attempt > 0:
-                # Never sleep (or retry) past the deadline budget.
-                delay = min(retry_backoff_ms(self.retry_backoff_base_ms, attempt - 1, name.uri()), remaining)
-                time.sleep(delay / 1e3)
-                if self._remaining_ms(deadline) <= 0:
-                    return None
-                self.retries_used += 1
-                self._count("retries")
-            if hedge_to is not None:
-                answer = self._hedged(owner, hedge_to, name, request, deadline)
-            else:
-                answer = self._interest(owner, name, request, deadline)
-            if answer is not None:
-                return answer
-            if not self.transport.routable(owner):
-                return None  # gone (or breaker tripped) mid-attempts: move on
-        return None
+    def _race(self, groups: Dict[str, List[_Item]]) -> List[Tuple[_Item, object]]:
+        """Ask every group's owner; when owners stay silent ``hedge_ms``,
+        race a duplicate interest to each of their items' next replica.
 
-    def _hedged(
-        self,
-        primary: str,
-        secondary: str,
-        name: ComputationName,
-        request: Request,
-        deadline: Optional[float],
-    ) -> Optional[Answer]:
-        """Race the primary against a delayed duplicate on the secondary.
-
-        First good answer wins; content-addressed results make the
-        duplicate harmless (both compute the same bytes).
+        The first answer per item wins; content-addressed results make the
+        duplicate harmless (both compute the same bytes).  Legs run in the
+        hedge pool because a collect blocks until its items are answered,
+        and the hedge timer must fire while the owner's collect waits.
         """
 
-        def leg(node: str) -> Optional[Answer]:
-            return self._interest(node, name, request, deadline, hedged=True)
+        def leg(node: str, group: List[_Item]) -> list:
+            return self.transport.interest(node, _wire(group))()
 
-        futures = {self._hedge_pool.submit(leg, primary): primary}
-        hedged = False
-        while futures:
-            remaining_s = self._remaining_ms(deadline) / 1e3
-            if remaining_s <= 0:
+        legs = {self._hedge_pool.submit(leg, node, group): (node, group, False) for node, group in groups.items()}
+        silent = dict(groups)  # owners whose leg has neither returned nor been hedged
+        items = [item for group in groups.values() for item in group]
+        won: Dict[_Item, object] = {}
+        hedge_at = time.monotonic() + self.hedge_ms / 1e3
+        while legs and len(won) < len(items):
+            timeout = max(self._remaining_ms(it.deadline) for it in items if it not in won) / 1e3
+            if timeout <= 0:
                 break
-            wait_s = remaining_s if hedged else min(remaining_s, self.hedge_ms / 1e3)
-            done, _ = wait(futures, timeout=wait_s, return_when=FIRST_COMPLETED)
+            if silent:
+                timeout = min(timeout, max(0.0, hedge_at - time.monotonic()))
+            done, _ = wait(legs, timeout=timeout, return_when=FIRST_COMPLETED)
             for fut in done:
-                node = futures.pop(fut)
-                answer = fut.result()
-                if answer is not None:
-                    if hedged and node == secondary:
-                        self.hedge_wins += 1
-                        self._count("hedge_wins")
-                    return answer
-            if not done and not hedged:
-                hedged = True
-                self.hedges += 1
-                self._count("hedges")
-                futures[self._hedge_pool.submit(leg, secondary)] = secondary
-        return None
+                node, group, hedge = legs.pop(fut)
+                silent.pop(node, None)
+                for item, answer in zip(group, fut.result()):
+                    if answer is not None and item not in won:
+                        won[item] = answer
+                        if hedge:
+                            self.hedge_wins += 1
+                            self._count("hedge_wins")
+            if silent and time.monotonic() >= hedge_at:
+                replicas: Dict[str, List[_Item]] = {}
+                for node, group in silent.items():
+                    for item in group:
+                        owners = self.owner_names(item.request.batch_key())
+                        later = owners[owners.index(node) + 1 :]
+                        to = next((n for n in later if n not in item.path and self.routable(n)), None)
+                        if to is not None:
+                            replicas.setdefault(to, []).append(item)
+                silent.clear()
+                for to, hedged in replicas.items():
+                    self.hedges += len(hedged)
+                    self._count("hedges", len(hedged))
+                    legs[self._hedge_pool.submit(leg, to, hedged)] = (to, hedged, True)
+        return [(item, won.get(item)) for item in items]
 
-    def _execute_local(self, request: Request) -> Answer:
+    def _execute_local(self, item: _Item) -> None:
         """The degradation rung: in-process execution, counted, byte-exact."""
         with self._lock:
             if self._local is None:
@@ -636,14 +628,15 @@ class Router:
                 self._local = EngineExecutor(**opts)
             local = self._local
         started = time.perf_counter()
-        result = local.execute(request.batch_key(), [request])[0]
+        result = local.execute(item.request.batch_key(), [item.request])[0]
         if isinstance(result, Exception):
-            raise result
+            item.gate.error = result
+            return
         cost_ms = (time.perf_counter() - started) * 1e3
         self.degraded += 1
         self._count("degraded_local")
         result = np.asarray(result)
-        return Answer(result, "local", cost_ms, array_digest(result))
+        self._resolve(item, Answer(result, "local", cost_ms, array_digest(result)))
 
     # ------------------------------------------------------------------
     # Lifecycle + observability

@@ -100,17 +100,21 @@ class EngineExecutor:
     # Cached engine state
     # ------------------------------------------------------------------
     def _backend(self, bits: int, es: int) -> PositBackend:
-        key = (bits, es)
-        with self._lock:
-            backend = self._backends.get(key)
-            if backend is None:
-                backend = self._backends[key] = PositBackend(
-                    PositFormat(bits, es), stable_contractions=True
-                )
-            return backend
+        """The format's one backend, shared by its matmuls and plans.
+
+        ``table_bits=0`` picks via-float (wide above 16 bits): no pairwise
+        add/mul tables, which neither the float64 matmul nor a
+        :class:`FusedPlan` reads.
+        """
+        backend = self._backends.get((bits, es))
+        if backend is None:
+            backend = PositBackend(PositFormat(bits, es), table_bits=0, stable_contractions=True)
+            backend = self._backends.setdefault((bits, es), backend)
+        return backend
 
     def _runner(self, model: str, bits: int, es: int) -> BatchedRunner:
         key = (model, bits, es)
+        backend = self._backend(bits, es)
         with self._lock:
             runner = self._runners.get(key)
             if runner is None:
@@ -122,10 +126,7 @@ class EngineExecutor:
                 net = self._nets.get(model)
                 if net is None:
                     net = self._nets[model] = factory()
-                fmt = PositFormat(bits, es)
-                plan = FusedPlan.compile(
-                    net, fmt, backend=PositBackend(fmt, stable_contractions=True)
-                )
+                plan = FusedPlan.compile(net, backend.fmt, backend=backend)
                 runner = self._runners[key] = BatchedRunner(
                     plan,
                     batch_size=self.nn_batch_size,

@@ -136,7 +136,7 @@ class ReproServer:
             self.executor = executor
         elif self.config.fog_nodes:
             # Imported here: repro.fog builds on repro.serve, not vice versa.
-            from ..fog.executor import FogExecutor
+            from ..fog import FogExecutor, FogFabric, FogTopology
 
             executor_opts = {
                 "workers": self.config.workers,
@@ -144,40 +144,31 @@ class ReproServer:
                 "chaos": self.config.chaos,
                 **self.config.extra_executor_opts,
             }
+            fog_opts = dict(
+                nodes=self.config.fog_nodes,
+                replicas=self.config.fog_replicas,
+                metrics=self.metrics,
+                store_policy=self.config.fog_store_policy,
+                store_reverify=self.config.fog_store_reverify,
+            )
             if self.config.fog_fabric:
-                from ..fog.fabric import FogFabric
-
                 inline = False
                 # Fabric nodes are daemonic processes and cannot spawn
                 # grandchildren, so their executors stay in-process.
-                fabric_opts = dict(executor_opts)
-                fabric_opts["workers"] = None
-                fabric_opts.pop("chaos", None)
-                self.executor = FogExecutor(
-                    topology=FogFabric(
-                        nodes=self.config.fog_nodes,
-                        replicas=self.config.fog_replicas,
-                        heartbeat_ms=self.config.fog_heartbeat_ms,
-                        miss_budget=self.config.fog_miss_budget,
-                        hedge_ms=self.config.fog_hedge_ms,
-                        default_budget_ms=self.config.fog_budget_ms,
-                        degrade_local=self.config.fog_degrade_local,
-                        store_policy=self.config.fog_store_policy,
-                        store_reverify=self.config.fog_store_reverify,
-                        metrics=self.metrics,
-                        executor_opts=fabric_opts,
-                    ),
-                    metrics=self.metrics,
+                executor_opts["workers"] = None
+                executor_opts.pop("chaos", None)
+                topology = FogFabric(
+                    heartbeat_ms=self.config.fog_heartbeat_ms,
+                    miss_budget=self.config.fog_miss_budget,
+                    hedge_ms=self.config.fog_hedge_ms,
+                    default_budget_ms=self.config.fog_budget_ms,
+                    degrade_local=self.config.fog_degrade_local,
+                    executor_opts=executor_opts,
+                    **fog_opts,
                 )
             else:
-                self.executor = FogExecutor(
-                    nodes=self.config.fog_nodes,
-                    replicas=self.config.fog_replicas,
-                    metrics=self.metrics,
-                    executor_opts=executor_opts,
-                    store_policy=self.config.fog_store_policy,
-                    store_reverify=self.config.fog_store_reverify,
-                )
+                topology = FogTopology(executor_opts=executor_opts, **fog_opts)
+            self.executor = FogExecutor(topology=topology, metrics=self.metrics)
         else:
             self.executor = EngineExecutor(
                 workers=self.config.workers,

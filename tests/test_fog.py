@@ -322,7 +322,7 @@ class TestFogExecutor:
             for i in range(4)
         ]
         key = reqs[0].batch_key()
-        fog = FogExecutor(nodes=3, metrics=Metrics())
+        fog = FogExecutor(topology=FogTopology(nodes=3, metrics=Metrics()))
         direct = EngineExecutor(metrics=Metrics())
         try:
             got = fog.execute(key, reqs)
@@ -342,7 +342,7 @@ class TestFogExecutor:
         from repro.fog import FogExecutor
         from repro.serve.protocol import ProtocolError
 
-        fog = FogExecutor(nodes=2, replicas=1, metrics=Metrics())
+        fog = FogExecutor(topology=FogTopology(nodes=2, replicas=1, metrics=Metrics()))
         try:
             req8 = matmul_request([[1.0, 2.0]], [[3.0], [4.0]], "a", bits=8)
             req6 = matmul_request([[1.0, 2.0]], [[3.0], [4.0]], "b", bits=6)

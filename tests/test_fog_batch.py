@@ -2,8 +2,9 @@
 
 :meth:`Router.submit_batch <repro.fog.topology.Router.submit_batch>` names
 every request once, collapses duplicates (inside the batch and against
-interests in flight), sends one interest per ingress node before waiting
-on any, and lets what an ingress declines walk the per-item owner ladder.
+interests in flight), and walks the batch in rounds: one interest per node
+per round, every one sent before any is collected, so what an ingress
+declines reaches each owner as one group.
 Whatever path an item takes, its bytes must equal direct
 :class:`~repro.serve.executor.EngineExecutor` execution, on the
 in-process topology and across the fabric's process boundary alike.
@@ -147,18 +148,19 @@ class TestBatchWalkIdentity:
 
         in_process = isinstance(router, FogTopology)
 
-        def interest(name, items, hedged=False):
+        def interest(name, items):
             if name != victim or killed:
-                return inner(name, items, hedged=hedged)
+                return inner(name, items)
             killed.append(name)
             if in_process:  # in-process nodes answer as the interest is sent
                 router.crash(name)
-                return inner(name, items, hedged=hedged)
-            collect = inner(name, items, hedged=hedged)
+                return inner(name, items)
+            collect = inner(name, items)
             router.crash(name)  # SIGKILL after the send, before the answer is read
             return collect
 
         reroutes = router.reroutes
+        victim_pid = None if in_process else router.supervisor.pid(victim)
         transport.interest = interest
         try:
             got = router.submit_batch(reqs, ingress=victim)
@@ -166,6 +168,12 @@ class TestBatchWalkIdentity:
             del transport.interest
             if in_process:
                 router.revive(victim)
+            else:
+                # The answer can beat the SIGKILL, and the walk return
+                # before the monitor sees the death: wait for the respawn.
+                deadline = time.monotonic() + 60.0
+                while router.supervisor.pid(victim) == victim_pid and time.monotonic() < deadline:
+                    time.sleep(0.01)
             settle(router)
         assert killed == [victim]
         assert_same_bytes(got, direct(reqs))
@@ -223,6 +231,56 @@ class TestNodeBatches:
 
 
 # ----------------------------------------------------------------------
+# The owner ladder is group-granular: declined items travel together
+# ----------------------------------------------------------------------
+def node_executions(router, name):
+    if isinstance(router, FogTopology):
+        return router.node(name).executions
+    return router.supervisor.client(name).call({"op": "stats"})["stats"]["executions"]
+
+
+class TestGroupLadder:
+    def test_declined_items_reach_the_primary_as_one_interest(self, router):
+        """N fresh items enter at a non-owner: the primary gets them as one
+        N-item interest and runs them as one engine batch, and every item
+        still counts its own forward.  The node process's executor cannot
+        be swapped from here, so on the fabric its ``executions`` delta
+        stands in for the spy."""
+        n = 5
+        reqs = fresh_requests(110, n, prefix="grp")
+        owners = owned_by(router, reqs[0])
+        primary = owners[0]
+        bystander = next(name for name in router.transport.names if name not in owners)
+        transport = router.transport
+        inner = transport.interest
+        interests = []
+
+        def interest(name, items):
+            interests.append((name, len(items)))
+            return inner(name, items)
+
+        in_process = isinstance(router, FogTopology)
+        if in_process:
+            node = router.node(primary)
+            kept, node.executor = node.executor, SpyExecutor(metrics=router.metrics)
+        forwards, executions = router.forwards, node_executions(router, primary)
+        transport.interest = interest
+        try:
+            got = router.submit_batch(reqs, ingress=bystander)
+        finally:
+            del transport.interest
+            if in_process:
+                spy, node.executor = node.executor, kept
+                spy.close()
+        assert_same_bytes(got, direct(reqs))
+        assert interests == [(bystander, n), (primary, n)]
+        assert router.forwards - forwards == n, "forwards count items, not interests"
+        assert node_executions(router, primary) - executions == n
+        if in_process:
+            assert spy.calls == [n]
+
+
+# ----------------------------------------------------------------------
 # Frame budget: a node's group splits so both frames fit
 # ----------------------------------------------------------------------
 class TestFrameSplit:
@@ -246,11 +304,11 @@ class TestFrameSplit:
             sent, received = [], []
             send, wait = client.send, client.wait
 
-            def spy_send(frame, oneshot=False):
+            def spy_send(frame):
                 if frame.get("op") == "interest":
                     sent.append(len(frame["items"]))
                     assert len(frames.pack_frame(frame)) <= limit
-                return send(frame, oneshot=oneshot)
+                return send(frame)
 
             def spy_wait(ticket, timeout_s=None):
                 resp = wait(ticket, timeout_s)

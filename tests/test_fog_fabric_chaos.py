@@ -25,7 +25,7 @@ import pytest
 
 from repro.engine.faults import ChaosPlan
 from repro.engine.observe import Metrics
-from repro.fog import FogFabric, FogUnavailable
+from repro.fog import FogFabric, FogUnavailable, name_request
 from repro.serve.executor import DeadlineExceeded, EngineExecutor
 from repro.serve.protocol import Request
 
@@ -234,8 +234,13 @@ class TestHedging:
     def test_stalled_primary_loses_to_hedged_secondary(self):
         """With the failure detector too slow to notice (huge heartbeat
         interval), a SIGSTOPped primary owner still looks routable — the
-        hedge is what saves the request's latency, not the supervisor."""
-        pairs = working_set(seed=23, count=1)
+        hedge is what saves the batch's latency, not the supervisor.
+
+        The hedge leg rides the primary's pipelined connection like any
+        interest: after SIGCONT the stalled leg's late answer completes its
+        waiter or is discarded as an orphan, and the same connection
+        (same generation) serves the next interest."""
+        pairs = working_set(seed=23, count=3)
         want = direct_results(pairs)
         metrics = Metrics()
         fab = FogFabric(
@@ -246,29 +251,44 @@ class TestHedging:
         stalled_pid = None
         try:
             assert fab.wait_all_serving(timeout_s=30.0)
-            a, b = pairs[0]
-            req = matmul_request("hedge", a, b)
-            owners = fab.owners(req.batch_key())
+            reqs = [matmul_request(f"hedge{i}", a, b) for i, (a, b) in enumerate(pairs)]
+            owners = fab.owner_names(reqs[0].batch_key())
             primary = owners[0]
             bystander = next(n for n in fab.node_names if n not in owners)
+            client = fab.supervisor.client(primary)
+            generation = client._generation
+            assert generation >= 1, "advertising dials the data connection"
             stalled_pid = fab.supervisor.pid(primary)
             os.kill(stalled_pid, signal.SIGSTOP)
-            # Route hop 1 through the non-owner so the walk reaches the
-            # owner loop (where hedging lives) with the budget intact.
-            candidates = [n for n in fab.node_names if fab.routable(n)]
-            fab._ingress_counter = candidates.index(bystander)
+            # Enter at the non-owner so the walk reaches the owner round
+            # (where hedging lives) with the budget intact.
             t0 = time.monotonic()
-            got = fab.submit(req)
+            got = fab.submit_batch(reqs, ingress=bystander)
             elapsed = time.monotonic() - t0
-            assert got.tobytes() == want[0], "hedged answer must be byte-exact"
-            assert metrics.counters.get("fabric.hedges", 0) >= 1, (
-                "the silent primary must have triggered a hedge"
+            os.kill(stalled_pid, signal.SIGCONT)
+            stalled_pid = None
+            assert [g.tobytes() for g in got] == want, "hedged answers must be byte-exact"
+            assert metrics.counters.get("fabric.hedges", 0) == len(reqs), (
+                "the silent primary must have hedged every item of its group"
             )
-            assert metrics.counters.get("fabric.hedge_wins", 0) >= 1
+            assert metrics.counters.get("fabric.hedge_wins", 0) == len(reqs)
             assert fab.degraded == 0, "hedging served it — no degradation"
             assert elapsed < 3.0, (
                 f"hedge should beat the primary's timeout, took {elapsed:.2f}s"
             )
+            # The resumed primary's late answer: its waiter completes, or the
+            # wait already gave up and the answer is counted as an orphan.
+            deadline = time.monotonic() + 10.0
+            while client.pending() and time.monotonic() < deadline:
+                time.sleep(0.01)
+            assert client.pending() == 0
+            if metrics.counters.get("fabric.peer_failures", 0):
+                while not metrics.counters.get("fabric.peer.orphan_responses", 0) and time.monotonic() < deadline:
+                    time.sleep(0.01)
+                assert metrics.counters.get("fabric.peer.orphan_responses", 0) >= 1
+            again = fab.transport.interest(primary, [(name_request(r), r, None) for r in reqs])()
+            assert [a.result.tobytes() for a in again] == want
+            assert client._generation == generation, "the stall must not cost the connection"
         finally:
             if stalled_pid is not None:
                 os.kill(stalled_pid, signal.SIGCONT)

@@ -13,11 +13,13 @@ import pathlib
 import numpy as np
 import pytest
 
-from repro.engine import ChaosPlan, stable_matmul
+from repro.engine import ChaosPlan, KernelRegistry, stable_matmul
+from repro.engine import backend as engine_backend
 from repro.engine.observe import Metrics
+from repro.engine.posit_backend import PositBackend
 from repro.nn.posit_inference import PositQuantizedNetwork
 from repro.nn.zoo import kws_cnn1
-from repro.posit import STD_POSIT8
+from repro.posit import STD_POSIT8, PositFormat
 from repro.serve.executor import EngineExecutor
 from repro.serve.protocol import Request
 
@@ -157,6 +159,30 @@ class TestGoldenReplay:
             executor, [nn_request(f"g{i}", x[i : i + 1]) for i in range(len(x))]
         )
         assert_bitexact(np.concatenate(results), y, "coalesced vs golden")
+
+    def test_fresh_registry_builds_no_pairwise_tables(self, golden, monkeypatch):
+        """One backend per format, building only the tables it reads: a
+        kws1 batch and a posit<8,2> matmul leave no pairwise add/mul table
+        resident, and their bytes are unchanged."""
+        registry = KernelRegistry()
+        monkeypatch.setattr(engine_backend, "REGISTRY", registry)
+        x, y = golden
+        rng = np.random.default_rng(104)
+        a, b = rng.normal(size=(3, 5)), rng.normal(size=(5, 2))
+        executor = EngineExecutor(metrics=Metrics())
+        try:
+            results = run_executor(executor, [nn_request(f"f{i}", x[i : i + 1]) for i in range(len(x))])
+            assert_bitexact(np.concatenate(results), y, "fresh registry vs golden")
+            matmul = Request(id="m", workload="posit_matmul", tenant="t", bits=8, es=2, a=a, b=b, rows=3)
+            got = run_executor(executor, [matmul])[0]
+        finally:
+            executor.close()
+        pairwise = PositBackend(PositFormat(8, 2), registry=KernelRegistry(), stable_contractions=True)
+        want = pairwise.decode(pairwise.matmul(pairwise.encode(a), pairwise.encode(b)))
+        assert_bitexact(got, want, "posit_matmul vs a pairwise-table backend")
+        resident = registry.content_names()
+        assert resident, "the executor's tables were built in the fresh registry"
+        assert not [name for name in resident if name.endswith("addmul")], resident
 
     def test_chaos_worker_pool_matches_golden(self, golden):
         """workers=2 under crash_rate=0.3: degraded paths stay byte-exact.
